@@ -18,9 +18,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .models import step_columns
 from .sparse_core import (
     SparseSymMatrix,
     incomplete_cholesky,
+    local_outer_sum,
+    local_sum_band,
+    local_sum_columns,
     min_eigenvalue,
     restricted_outer_accumulate,
     restricted_product,
@@ -184,44 +188,41 @@ def sparse_ukf_cycle(state, y_obs, model, obs_op, params):
     """One sparse-UKF assimilation cycle.
 
     Step 1: sigma-point perturbations are the columns of the pattern-
-    restricted Cholesky factor of (n+kappa)*Pa; the center point is forecast
-    with the full model while each of the 2n perturbed points is forecast
-    only at its pattern-column indices and merged over the center forecast.
-    Step 2: background covariances accumulate the merged deviations on the
-    pattern (state-state) and densely (state-obs, obs-obs).
+    restricted Cholesky factor of (n+kappa)*Pa. The center point is forecast
+    with the full model; each of the 2n perturbed points differs from it only
+    on one pattern column and is forecast only there (``step_columns``),
+    giving its local deviation S_k from the center forecast xb0 on that
+    column. Every other entry of a perturbed forecast is xb0.
+    Step 2: with sbar = sum_k w_k S_k (scattered to length n), the mean is
+    xb0 + sbar, and since the weights sum to one the sample covariance is
+    A - sbar sbar^T with A = sum_k w_k S_k S_k^T, a band of half width 2h
+    accumulated from the local deviations alone. Pb is the pattern part of it,
+    Pxy its observed columns and Pyy their observed rows plus R; no n-vector
+    per sigma point is ever formed.
     Step 3: gain solve, mean update, and pattern-restricted covariance update
     with the adaptive gamma*I positivity repair.
     """
     n = model.n
     pattern = params.pattern
-    w = ukf_weights(n, params.kappa)
+    w1 = ukf_weights(n, params.kappa)[1]  # every perturbed point has this weight
     evals0 = model.evaluation_count
 
     # Step 1: sigma points and forecast
     factor, jitter = incomplete_cholesky(state.Pa, n + params.kappa)
-    D = factor.to_dense()
+    F = factor.values.ravel()[pattern.offset_order]
     xb0 = model.step(state.xa)
-    sigma = np.concatenate([state.xa + D.T, state.xa - D.T])  # (2n, n)
-    out_idx = np.concatenate([pattern.columns, pattern.columns])
-    vals = model.step_components_many(sigma, out_idx)
+    S = step_columns(model, state.xa, pattern, np.stack([F, -F]))
+    S -= xb0[pattern.offset_columns]  # (2, n, nsp) local deviations
 
-    # Merged backgrounds: entries off each sigma point's window come from the
-    # center forecast.
-    merged = np.tile(xb0, (2 * n + 1, 1))
-    merged[1:][np.arange(2 * n)[:, None], out_idx] = vals
-    xb_mean = w @ merged
-    Yb = obs_op.observe(merged)
-    yb_mean = w @ Yb
-
-    Xdev = merged - xb_mean
-    Ydev = Yb - yb_mean
-
-    # Step 2: background covariances
-    Pb = restricted_outer_accumulate(Xdev, w, pattern)
+    # Step 2: background covariances from the local deviations
+    sbar = w1 * np.bincount(pattern.offset_columns.ravel(), weights=(S[0] + S[1]).ravel(),
+                            minlength=n)
+    xb_mean = xb0 + sbar
+    D = local_outer_sum(S, w1, pattern)  # A = sum_k w_k S_k S_k^T
+    Pb = local_sum_band(D, pattern) - restricted_outer_accumulate(sbar[None, :], np.ones(1),
+                                                                  pattern)
     if params.Q is not None:
         Pb = Pb + params.Q
-    Pxy = (Xdev * w[:, None]).T @ Ydev
-    Pyy = (Ydev * w[:, None]).T @ Ydev + params.R
 
     evals = model.evaluation_count - evals0
     if y_obs is None:
@@ -230,9 +231,12 @@ def sparse_ukf_cycle(state, y_obs, model, obs_op, params):
         return FilterState(xb_mean, Pa, diag)
 
     # Step 3: Kalman gain and analysis
+    oi = obs_op.indices
+    Pxy = local_sum_columns(D, pattern, oi) - np.outer(sbar, sbar[oi])
+    Pyy = Pxy[oi] + params.R
     y_obs = np.asarray(y_obs, dtype=float)
     K = np.linalg.solve(Pyy, Pxy.T).T
-    innov = y_obs - yb_mean
+    innov = y_obs - obs_op.observe(xb_mean)
     xa = xb_mean + K @ innov
     E = Pb - restricted_product(K, Pxy.T, pattern)
     Pa, gamma = _gamma_repair(E)
@@ -247,16 +251,15 @@ def progressive_ekf_cycle(state, y_obs, model, obs_op, params):
     The background covariance is propagated without square roots: each of the
     n_p sub-steps replaces P by G + G^T - P, where column i of G is the
     finite-difference response (model(x + delta*P_i) - model(x)) / delta
-    restricted to pattern column i. Q is added after the last sub-step. The
-    analysis covariance (I - KH)Pb is restricted to the pattern and repaired
-    with gamma*I when indefinite.
+    restricted to pattern column i. Each probe x + delta*P_i differs from x
+    only on that column, so it is forecast there alone (``step_columns``),
+    and P, its columns and G + G^T stay on the band. Q is added after the
+    last sub-step. The analysis covariance (I - KH)Pb is restricted to the
+    pattern and repaired with gamma*I when indefinite.
     """
-    n = model.n
     pattern = params.pattern
-    cols = pattern.columns
     delta = params.delta
     sub_dt = model.dt / params.n_p
-    col_rows = np.arange(n)[:, None]
     evals0 = model.evaluation_count
 
     # Steps 1-2: forecast and progressive covariance propagation
@@ -264,13 +267,9 @@ def progressive_ekf_cycle(state, y_obs, model, obs_op, params):
     P = state.Pa
     for _ in range(params.n_p):
         x_next = model.step(x_base, dt=sub_dt)
-        Pd = P.to_dense()
-        probes = x_base + delta * Pd.T  # row i = x_base + delta * column i of P
-        vals = model.step_components_many(probes, cols, dt=sub_dt)
-        G = (vals - x_next[cols]) / delta
-        Gd = np.zeros((n, n))
-        Gd[cols, col_rows] = G
-        P = SparseSymMatrix.from_dense(Gd + Gd.T, pattern) - P
+        vals = step_columns(model, x_base, pattern, delta * P.column_values(), dt=sub_dt)
+        G = (vals - x_next[pattern.offset_columns]) / delta
+        P = SparseSymMatrix.from_columns(G, pattern) - P
         x_base = x_next
     if params.Q is not None:
         P = P + params.Q
@@ -287,8 +286,7 @@ def progressive_ekf_cycle(state, y_obs, model, obs_op, params):
     # Step 3: Kalman gain and analysis
     y_obs = np.asarray(y_obs, dtype=float)
     oi = obs_op.indices
-    Pbd = P.to_dense()
-    PHt = Pbd[:, oi]
+    PHt = P.dense_columns(oi)
     S = PHt[oi, :] + params.R
     K = np.linalg.solve(S, PHt.T).T
     innov = y_obs - yb

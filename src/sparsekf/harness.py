@@ -93,6 +93,14 @@ class ExperimentConfig:
             raise ConfigError("n_ens must be >= 2")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
+        if self.filter in ("sparse_ukf", "dense_ukf") and self.n + self.kappa <= 0:
+            raise ConfigError(f"n + kappa must be positive, got n={self.n}, kappa={self.kappa}")
+        if self.filter == "enkf":
+            if self.loc_radius <= 0:
+                raise ConfigError(f"loc_radius must be positive, got {self.loc_radius}")
+            if self.r_scale == 0:
+                raise ConfigError(
+                    "the EnKF perturbs observations with R, so r_scale must be positive")
         return self
 
     def paper_scale(self):
@@ -325,9 +333,13 @@ def _worker(args):
 
 
 def default_workers():
+    """Worker count from SPARSEKF_WORKERS, else the available parallelism."""
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

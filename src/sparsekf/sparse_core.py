@@ -10,13 +10,18 @@ Contents:
   - SparseVector, SparseColumns, SparseSymMatrix: the sparse containers
   - merge: sparse-over-dense vector combination
   - restricted_outer_accumulate / restricted_product: pattern-limited products
+  - local_outer_sum, local_sum_band / local_sum_columns: sums of outer
+    products of column-local vectors, read back on the pattern or by column
   - incomplete_cholesky: pattern-restricted factorization with jitter retries
   - min_eigenvalue: smallest eigenvalue of the represented symmetric matrix
 """
 
 from __future__ import annotations
 
+from functools import cached_property, lru_cache
+
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 class FactorizationError(RuntimeError):
@@ -51,11 +56,13 @@ class SparsityPattern:
             offsets = np.arange(-h + 1, h + 1)
         else:
             offsets = np.arange(-h, h + 1)
-        self._offsets = offsets
-        cols = (np.arange(n)[:, None] + offsets[None, :]) % n
-        self.columns = np.sort(cols, axis=1)  # (n, nsp), row i = column i indices
-        # forward-offset gather indices: _shifted[d] = (0+d, 1+d, ..., n-1+d) mod n
-        self._shifted = (np.arange(n)[None, :] + np.arange(h + 1)[:, None]) % n
+        self.offsets = offsets
+        # (n, nsp): row i = column i indices in offset order, i.e. i + offsets
+        # (mod n); consecutive entries are cyclic neighbours.
+        self.offset_columns = (np.arange(n)[:, None] + offsets[None, :]) % n
+        self.columns = np.sort(self.offset_columns, axis=1)  # row i = column i, sorted
+        # (n, h+1): column (i + d) mod n of band slot (i, d), see SparseSymMatrix
+        self.band_columns = (np.arange(n)[:, None] + np.arange(h + 1)[None, :]) % n
 
     @property
     def nsp(self):
@@ -77,6 +84,26 @@ class SparsityPattern:
     def column_indices(self, i):
         """Sorted indices of admissible entries in column i."""
         return self.columns[i].copy()
+
+    @cached_property
+    def offset_order(self):
+        """Flat indices that reorder (n, nsp) values aligned with ``columns``
+        into offset order: ``values.ravel()[offset_order]`` is aligned with
+        ``offset_columns``."""
+        rank = np.argsort(np.argsort(self.offset_columns, axis=1), axis=1)
+        return _read_only(np.arange(self.n)[:, None] * self.nsp + rank)
+
+    @cached_property
+    def column_slots(self):
+        """Flat band indices of every column in offset order.
+
+        ``band.ravel()[column_slots][i, k]`` is the value that ``to_dense``
+        puts at row ``offset_columns[i, k]`` of column i.
+        """
+        n, h = self.n, self.half_bandwidth
+        i = np.arange(n)[:, None]
+        off = self.offsets[None, :]
+        return _read_only(np.where(off >= 0, i * (h + 1) + off, ((i + off) % n) * (h + 1) - off))
 
     def __eq__(self, other):
         return (
@@ -186,9 +213,29 @@ class SparseSymMatrix:
             band[:, d] = 0.5 * (dense[idx, j] + dense[j, idx])
         return cls(pattern, band)
 
+    @classmethod
+    def from_columns(cls, C, pattern):
+        """Pattern part of ``M + M^T`` where column i of M holds ``C[i]`` at
+        rows ``pattern.offset_columns[i]`` and is zero elsewhere."""
+        lo, hi = _transpose_slots(pattern.n, pattern.half_bandwidth)
+        C = np.asarray(C, dtype=float).ravel()
+        return cls(pattern, C[lo] + C[hi])
+
     @property
     def n(self):
         return self.pattern.n
+
+    def column_values(self):
+        """(n, nsp) values of every column at its rows, in offset order."""
+        return self.band.ravel()[self.pattern.column_slots]
+
+    def dense_columns(self, cols):
+        """Dense columns ``to_dense()[:, cols]`` without forming the n x n matrix."""
+        cols = np.asarray(cols, dtype=np.intp)
+        out = np.zeros((self.pattern.n, cols.size))
+        out[self.pattern.offset_columns[cols], np.arange(cols.size)[:, None]] = \
+            self.column_values()[cols]
+        return out
 
     def get(self, i, j):
         """Value at (i, j); exactly 0.0 outside the pattern."""
@@ -291,11 +338,8 @@ def restricted_outer_accumulate(columns, weights, pattern):
         raise ValueError(f"columns must have length {n}, got {C.shape[1]}")
     if w.shape[0] != C.shape[0]:
         raise ValueError("one weight per column required")
-    band = np.empty((n, h + 1))
     Cw = C * w[:, None]
-    for d in range(h + 1):
-        band[:, d] = np.einsum("ki,ki->i", Cw, C[:, pattern._shifted[d]])
-    return SparseSymMatrix(pattern, band)
+    return SparseSymMatrix(pattern, np.einsum("ki,kid->id", Cw, C[:, pattern.band_columns]))
 
 
 def restricted_product(A, B, pattern):
@@ -303,16 +347,137 @@ def restricted_product(A, B, pattern):
 
     The result is symmetrized entrywise: value at admissible (i, j) is
     0.5 * ((A@B)[i, j] + (A@B)[j, i]). The caller is responsible for A @ B
-    being symmetric up to rounding.
+    being symmetric up to rounding. Only the 2 n (h+1) row-column dot
+    products behind the band are computed, never the dense product.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    n = pattern.n
+    n, h = pattern.n, pattern.half_bandwidth
     if A.ndim != 2 or B.ndim != 2 or A.shape[0] != n or B.shape[1] != n \
             or A.shape[1] != B.shape[0]:
         raise ValueError(f"incompatible shapes {A.shape} x {B.shape} for n={n}")
-    F = A @ B
-    return SparseSymMatrix.from_dense(F, pattern)
+    rows = np.arange(n + h) % n  # contiguous copies, extended past the wrap
+    A_ext, Bt_ext = A[rows], B.T[rows]
+    upper = np.einsum("ik,idk->id", A_ext[:n], _row_windows(Bt_ext, h))  # (A@B)[i, i+d]
+    lower = np.einsum("idk,ik->id", _row_windows(A_ext, h), Bt_ext[:n])  # (A@B)[i+d, i]
+    return SparseSymMatrix(pattern, 0.5 * (upper + lower))
+
+
+def _row_windows(X, h):
+    """Read-only view ``W[i, d] = X[i + d]`` of an array extended by h rows."""
+    step, item = X.strides
+    return as_strided(X, shape=(X.shape[0] - h, h + 1, X.shape[1]),
+                      strides=(step, step, item), writeable=False)
+
+
+def _read_only(a):
+    """Cached index arrays are shared by every caller: make them immutable."""
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=16)
+def _transpose_slots(n, h):
+    """Flat indices into (n, nsp) offset-ordered columns for ``from_columns``:
+    band slot (i, d) sums column i+d at row i and column i at row i+d."""
+    pattern = SparsityPattern(n, h)
+    position = np.empty(n, dtype=np.intp)  # position in offsets of a cyclic offset
+    position[pattern.offsets % n] = np.arange(pattern.nsp)
+    i = np.arange(n)[:, None]
+    d = np.arange(h + 1)[None, :]
+    lo = ((i + d) % n) * pattern.nsp + position[-d % n]
+    hi = i * pattern.nsp + position[d % n]
+    return _read_only(lo), _read_only(hi)
+
+
+@lru_cache(maxsize=16)
+def _ring_order(n, h):
+    """Flat indices into (n, nsp) column-local values that put them in ring
+    order: entry [a, t] is value a of column (t - offsets[a]) mod n, the one
+    at ring position t mod n, for t = 0 .. n + nsp - 2."""
+    pattern = SparsityPattern(n, h)
+    t = np.arange(n + pattern.nsp - 1)[None, :]
+    a = np.arange(pattern.nsp)[:, None]
+    return _read_only(((t - pattern.offsets[:, None]) % n) * pattern.nsp + a)
+
+
+def local_outer_sum(V, weight, pattern):
+    """Sum ``A = weight * sum_k v_k v_k^T`` of column-local vectors, by offset difference.
+
+    ``V`` has shape (p, n, nsp): ``V[k, i]`` is a vector supported on pattern
+    column i, in offset order (at rows ``offset_columns[i]``). A has half
+    bandwidth 2h. It is returned as D of shape (n, nsp): ``D[r, e]`` sums the
+    products of entries at rows r and r+e (mod n) whose offsets differ by e.
+    ``local_sum_band`` and ``local_sum_columns`` read A from D. The cost is
+    O(p n nsp^2) time and O(p n nsp) memory.
+    """
+    V = np.asarray(V, dtype=float)
+    n, h, nsp = pattern.n, pattern.half_bandwidth, pattern.nsp
+    p, length = V.shape[0], n + nsp - 1
+    # U[a, k, t]: entry a of vector k's column, the one at ring position t;
+    # rows a >= nsp are zero, so that a + e never leaves the array.
+    U = np.zeros((2 * nsp, p, length))
+    U[:nsp] = V.ravel()[_ring_order(n, h)[:, None, :] + n * nsp * np.arange(p)[:, None]]
+    item = U.itemsize
+    shifted = as_strided(U, shape=(nsp, nsp, p, n),  # shifted[e, a, k, t] = U[a + e, k, t + e]
+                         strides=((p * length + 1) * item, p * length * item, length * item, item),
+                         writeable=False)
+    D = np.einsum("akt,eakt->te", U[:nsp, :, :n], shifted)
+    D *= weight
+    return D
+
+
+def _difference_pairs(n, h):
+    """Row r and column (r + e) mod n of every entry (r, e) of a D array."""
+    nsp = SparsityPattern(n, h).nsp
+    r = np.repeat(np.arange(n), nsp)
+    e = np.tile(np.arange(nsp), n)
+    return r, e, (r + e) % n
+
+
+@lru_cache(maxsize=16)
+def _band_bins(n, h):
+    """Entries of D and the band slots they add to. Entry (r, e) is the pair
+    {r, r+e}: it adds to slot (r, e) if e <= h, and for e > 0 to slot
+    (r+e, n-e) if n-e <= h (both for antipodes of the full even pattern)."""
+    r, e, j = _difference_pairs(n, h)
+    first = e <= h
+    second = (e > 0) & (n - e <= h)
+    take = np.concatenate([np.flatnonzero(first), np.flatnonzero(second)])
+    bins = np.concatenate([r[first] * (h + 1) + e[first], j[second] * (h + 1) + n - e[second]])
+    return _read_only(take), _read_only(bins)
+
+
+@lru_cache(maxsize=16)
+def _column_bins(n, h, cols_key):
+    """Entries of D and the positions of dense A[:, cols] they add to."""
+    cols = np.frombuffer(cols_key, dtype=np.intp)
+    pos = np.full(n, -1, dtype=np.intp)
+    pos[cols] = np.arange(cols.size)
+    r, e, j = _difference_pairs(n, h)
+    first = pos[j] >= 0  # A[r, j]
+    second = (e > 0) & (pos[r] >= 0)  # A[j, r]
+    take = np.concatenate([np.flatnonzero(first), np.flatnonzero(second)])
+    bins = np.concatenate([r[first] * cols.size + pos[j[first]],
+                           j[second] * cols.size + pos[r[second]]])
+    return _read_only(take), _read_only(bins)
+
+
+def local_sum_band(D, pattern):
+    """Pattern part of the sum A that ``local_outer_sum`` returned as D."""
+    n, h = pattern.n, pattern.half_bandwidth
+    take, bins = _band_bins(n, h)
+    band = np.bincount(bins, weights=np.asarray(D).ravel()[take], minlength=n * (h + 1))
+    return SparseSymMatrix(pattern, band.reshape(n, h + 1))
+
+
+def local_sum_columns(D, pattern, cols):
+    """Dense columns ``A[:, cols]`` (distinct cols) of the same sum."""
+    n, h = pattern.n, pattern.half_bandwidth
+    cols = np.ascontiguousarray(cols, dtype=np.intp)
+    take, bins = _column_bins(n, h, cols.tobytes())
+    out = np.bincount(bins, weights=np.asarray(D).ravel()[take], minlength=n * cols.size)
+    return out.reshape(n, cols.size)
 
 
 def incomplete_cholesky(P, scale=1.0):

@@ -1,9 +1,16 @@
-"""Shared test fixtures: a linear component model and closed-form KF oracles."""
+"""Shared test fixtures: a linear component model, closed-form KF oracles and
+dense-path oracles of the sparse filters."""
 
 import numpy as np
 
-from sparsekf.models import ComponentModel
-from sparsekf.sparse_core import SparseVector
+from sparsekf.filters import CycleDiagnostics, FilterState, _gamma_repair, ukf_weights
+from sparsekf.models import ComponentModel, lorenz96_rhs
+from sparsekf.sparse_core import (
+    SparseSymMatrix,
+    SparseVector,
+    incomplete_cholesky,
+    restricted_outer_accumulate,
+)
 
 
 class LinearModel(ComponentModel):
@@ -63,3 +70,118 @@ def dense_kf_cycle(x, P, A, H, Q, R, y):
     xa = xb + K @ (y - H @ xb)
     Pa = (np.eye(len(x)) - K @ H) @ Pb
     return xa, Pa
+
+
+# ---------------------------------------------------------------------------
+# Dense-path oracles of the sparse filters: every sigma point and probe is a
+# full n-vector stepped with the full model, and every covariance is formed
+# from (2n+1) x n deviation matrices or n x n dense matrices.
+
+
+def dense_path_sparse_ukf_cycle(state, y_obs, model, obs_op, params):
+    """Sparse-UKF cycle computed through full-state sigma points."""
+    n = model.n
+    pattern = params.pattern
+    w = ukf_weights(n, params.kappa)
+    evals0 = model.evaluation_count
+
+    factor, jitter = incomplete_cholesky(state.Pa, n + params.kappa)
+    D = factor.to_dense()
+    xb0 = model.step(state.xa)
+    sigma = np.concatenate([state.xa + D.T, state.xa - D.T])  # (2n, n)
+    out_idx = np.concatenate([pattern.columns, pattern.columns])
+    vals = model.step_components_many(sigma, out_idx)
+
+    merged = np.tile(xb0, (2 * n + 1, 1))
+    merged[1:][np.arange(2 * n)[:, None], out_idx] = vals
+    xb_mean = w @ merged
+    Yb = obs_op.observe(merged)
+    yb_mean = w @ Yb
+    Xdev = merged - xb_mean
+    Ydev = Yb - yb_mean
+
+    Pb = restricted_outer_accumulate(Xdev, w, pattern)
+    if params.Q is not None:
+        Pb = Pb + params.Q
+    Pxy = (Xdev * w[:, None]).T @ Ydev
+    Pyy = (Ydev * w[:, None]).T @ Ydev + params.R
+
+    evals = model.evaluation_count - evals0
+    if y_obs is None:
+        Pa, gamma = _gamma_repair(Pb)
+        return FilterState(xb_mean, Pa, CycleDiagnostics(gamma, jitter, evals, 0.0))
+
+    y_obs = np.asarray(y_obs, dtype=float)
+    K = np.linalg.solve(Pyy, Pxy.T).T
+    innov = y_obs - yb_mean
+    xa = xb_mean + K @ innov
+    E = Pb - SparseSymMatrix.from_dense(K @ Pxy.T, pattern)
+    Pa, gamma = _gamma_repair(E)
+    return FilterState(xa, Pa, CycleDiagnostics(gamma, jitter, evals,
+                                                float(np.linalg.norm(innov))))
+
+
+def dense_path_progressive_ekf_cycle(state, y_obs, model, obs_op, params):
+    """Progressive-EKF cycle computed through full-state probes and n x n G."""
+    n = model.n
+    pattern = params.pattern
+    cols = pattern.columns
+    delta = params.delta
+    sub_dt = model.dt / params.n_p
+    col_rows = np.arange(n)[:, None]
+    evals0 = model.evaluation_count
+
+    x_base = np.asarray(state.xa, dtype=float)
+    P = state.Pa
+    for _ in range(params.n_p):
+        x_next = model.step(x_base, dt=sub_dt)
+        Pd = P.to_dense()
+        probes = x_base + delta * Pd.T  # row i = x_base + delta * column i of P
+        vals = model.step_components_many(probes, cols, dt=sub_dt)
+        G = (vals - x_next[cols]) / delta
+        Gd = np.zeros((n, n))
+        Gd[cols, col_rows] = G
+        P = SparseSymMatrix.from_dense(Gd + Gd.T, pattern) - P
+        x_base = x_next
+    if params.Q is not None:
+        P = P + params.Q
+
+    xb = x_base
+    yb = obs_op.observe(xb)
+    evals = model.evaluation_count - evals0
+    if y_obs is None:
+        Pa, gamma = _gamma_repair(P)
+        return FilterState(xb, Pa, CycleDiagnostics(gamma, 0.0, evals, 0.0))
+
+    y_obs = np.asarray(y_obs, dtype=float)
+    oi = obs_op.indices
+    PHt = P.to_dense()[:, oi]
+    S = PHt[oi, :] + params.R
+    K = np.linalg.solve(S, PHt.T).T
+    innov = y_obs - yb
+    xa = xb + K @ innov
+    E = P - SparseSymMatrix.from_dense(K @ PHt.T, pattern)
+    Pa, gamma = _gamma_repair(E)
+    return FilterState(xa, Pa, CycleDiagnostics(gamma, 0.0, evals,
+                                                float(np.linalg.norm(innov))))
+
+
+def ring_rk4(x, dt, forcing=8.0):
+    """RK4 step of the Lorenz-96 ring through four cyclic right-hand sides."""
+    k1 = lorenz96_rhs(x, forcing)
+    k2 = lorenz96_rhs(x + 0.5 * dt * k1, forcing)
+    k3 = lorenz96_rhs(x + 0.5 * dt * k2, forcing)
+    k4 = lorenz96_rhs(x + dt * k3, forcing)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def full_step_columns(x, pattern, perturbations, dt, forcing=8.0):
+    """Oracle of ``step_columns`` for Lorenz-96: build every perturbed state
+    as a full n-vector, take the full RK4 step, restrict to its column."""
+    n, oc = pattern.n, pattern.offset_columns
+    P = np.asarray(perturbations, dtype=float).reshape(-1, n, pattern.nsp)
+    X = np.tile(x, (P.shape[0], n, 1))
+    c = np.arange(n)[:, None]
+    X[:, c, oc] = x[oc] + P
+    Y = ring_rk4(X, dt, forcing)
+    return Y[:, c, oc].reshape(np.shape(perturbations))

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import LinearModel, scalar_kf
+from helpers import LinearModel, full_step_columns, scalar_kf
 from sparsekf.filters import (
     DenseUkfParams,
     EnkfParams,
@@ -29,7 +29,7 @@ from sparsekf.harness import (
     run_experiment,
     synthesize_observations,
 )
-from sparsekf.models import Lorenz96Model, ObservationOperator
+from sparsekf.models import Lorenz96Model, ObservationOperator, step_columns
 from sparsekf.sparse_core import (
     SparseSymMatrix,
     SparsityPattern,
@@ -210,13 +210,20 @@ def test_criterion_03_degeneration_to_dense_ukf():
 
 def test_criterion_04_component_model_fidelity():
     """1000 random (state, index set) pairs: component evaluation equals the
-    restriction of the full RK4 step, exactly."""
+    restriction of the full RK4 step, exactly. On the same states, the
+    windowed evaluator the filters call (``step_columns``) equals the full
+    step of every perturbed state on its column, exactly: every half
+    bandwidth from windowed through the whole-state fallback to the full
+    pattern, +/- perturbations, full and sub-step dt, and every column,
+    including the wrapping columns 0 and n-1. The same holds at n = 16 and
+    160 on their own states."""
     model = Lorenz96Model()
     rng = np.random.default_rng(4)
     # half the states from the attractor, half broadly random
     x_att = rng.uniform(-1, 1, 40)
     for _ in range(400):
         x_att = model.step(x_att)
+    states = []
     for trial in range(1000):
         if trial % 2 == 0:
             x = rng.normal(scale=5.0, size=40)
@@ -228,7 +235,26 @@ def test_criterion_04_component_model_fidelity():
         sv = model.step_components(x, idx)
         full = model.step(x.copy())
         assert np.array_equal(sv.values, full[idx])
-    _report(4, "1000 pairs bit-identical to the restricted full step")
+        states.append(x)
+
+    def check_windowed(n, xs, prng):
+        m = Lorenz96Model(n=n)
+        patterns = [SparsityPattern(n, h) for h in range(n // 2 + 1)]
+        for t, x in enumerate(xs):
+            pattern = patterns[t % len(patterns)]
+            dt = m.dt if (t // len(patterns)) % 2 == 0 else m.dt / 2
+            F = 0.5 * prng.standard_normal((n, pattern.nsp))
+            P = np.stack([F, -F])
+            got = step_columns(m, x, pattern, P, dt=dt)
+            assert np.array_equal(got, full_step_columns(x, pattern, P, dt))
+
+    check_windowed(40, states, rng)
+    for n in (16, 160):
+        xs = [rng.normal(scale=5.0, size=n) if t % 2 else 8.0 + rng.normal(size=n)
+              for t in range(2 * (n // 2 + 1))]
+        check_windowed(n, xs, rng)
+    _report(4, "1000 pairs bit-identical to the restricted full step; windowed "
+               "evaluation bit-identical at n = 16, 40, 160 for every bandwidth")
 
 
 def test_criterion_05_evaluation_count_identities():

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import LinearModel, dense_kf_cycle, scalar_kf
+import sparsekf.harness as harness
+from helpers import (
+    LinearModel,
+    dense_kf_cycle,
+    dense_path_progressive_ekf_cycle,
+    dense_path_sparse_ukf_cycle,
+    scalar_kf,
+)
 from sparsekf.filters import (
     DenseUkfParams,
     EnkfParams,
@@ -20,8 +27,13 @@ from sparsekf.filters import (
     sparse_ukf_cycle,
     ukf_weights,
 )
-from sparsekf.models import Lorenz96Model, ObservationOperator
-from sparsekf.sparse_core import SparseSymMatrix, SparsityPattern, min_eigenvalue
+from sparsekf.models import Lorenz96Model, ObservationOperator, step_columns
+from sparsekf.sparse_core import (
+    SparseSymMatrix,
+    SparsityPattern,
+    incomplete_cholesky,
+    min_eigenvalue,
+)
 
 
 def lorenz_setup(n=40, nsp=7, r=1.0, p0=0.2, seed=0):
@@ -353,3 +365,80 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             other = SparsityPattern(8, 2)
             UkfParams(pattern=pattern, R=R, Q=SparseSymMatrix.identity(other))
+
+
+class TestDensePathOracle:
+    """The local forecast and accumulation against the dense-path cycles kept
+    in helpers.py, where every sigma point and probe is a full n-vector."""
+
+    @pytest.mark.parametrize("n,nsp", [(40, 7), (40, 27), (160, 41)])
+    def test_sigma_point_forecasts_are_bit_identical(self, n, nsp):
+        model, obs_op, pattern, state, R, _, _ = lorenz_setup(n=n, nsp=nsp, seed=60)
+        params = UkfParams(pattern=pattern, R=R)
+        for _ in range(3):
+            state = sparse_ukf_cycle(state, None, model, obs_op, params)
+        factor, _ = incomplete_cholesky(state.Pa, n)
+        D = factor.to_dense()
+        sigma = np.concatenate([state.xa + D.T, state.xa - D.T])
+        cols = np.concatenate([pattern.columns, pattern.columns])
+        old = model.step_components_many(sigma, cols)
+        F = factor.values.ravel()[pattern.offset_order]
+        new = step_columns(model, state.xa, pattern, np.stack([F, -F]))
+        # back to the sorted column order of the full-state path
+        order = np.argsort(pattern.offset_columns, axis=1)
+        assert np.array_equal(np.take_along_axis(new.reshape(2 * n, -1),
+                                                 np.tile(order, (2, 1)), axis=1), old)
+
+    @pytest.mark.parametrize("n,nsp,n_p", [(40, 7, 1), (40, 11, 2), (160, 41, 2)])
+    def test_progressive_forecast_is_bit_identical(self, n, nsp, n_p):
+        model, obs_op, pattern, state, R, x0, rng = lorenz_setup(n=n, nsp=nsp, seed=61)
+        params = ProgressiveParams(pattern=pattern, R=R, n_p=n_p)
+        for _ in range(3):
+            y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+            state = progressive_ekf_cycle(state, y, model, obs_op, params)
+        new = progressive_ekf_cycle(state, None, model, obs_op, params)
+        old = dense_path_progressive_ekf_cycle(state, None, model, obs_op, params)
+        assert np.array_equal(new.xa, old.xa)
+        assert np.array_equal(new.Pa.band, old.Pa.band)
+        assert new.diagnostics == old.diagnostics
+
+    @pytest.mark.parametrize("n,kappa,q", [(6, 0.0, 0.0), (7, 0.0, 0.0), (40, 2.0, 0.05),
+                                           (40, -20.0, 0.0)])
+    def test_sparse_ukf_cycle_matches(self, n, kappa, q):
+        # includes full patterns (even and odd n), a nonzero center weight,
+        # a negative one, and Q
+        nsp = n if n < 10 else 9
+        model, obs_op, pattern, state, R, x0, rng = lorenz_setup(n=n, nsp=nsp, seed=62)
+        if n < 10:
+            pattern = SparsityPattern.full(n)
+            state = FilterState(state.xa, SparseSymMatrix.identity(pattern, 0.2))
+        Q = SparseSymMatrix.identity(pattern, q) if q else None
+        params = UkfParams(pattern=pattern, R=R, kappa=kappa, Q=Q)
+        for _ in range(5):
+            y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+            new = sparse_ukf_cycle(state, y, model, obs_op, params)
+            old = dense_path_sparse_ukf_cycle(state, y, model, obs_op, params)
+            assert np.abs(new.xa - old.xa).max() <= 1e-12
+            assert np.abs(new.Pa.band - old.Pa.band).max() <= 1e-12
+            assert new.diagnostics.evaluations == old.diagnostics.evaluations
+            state = new
+        forecast = sparse_ukf_cycle(state, None, model, obs_op, params)
+        old = dense_path_sparse_ukf_cycle(state, None, model, obs_op, params)
+        assert np.abs(forecast.xa - old.xa).max() <= 1e-12
+        assert np.abs(forecast.Pa.band - old.Pa.band).max() <= 1e-12
+
+    @pytest.mark.parametrize("filter_name,n,nsp,n_p", [
+        ("sparse_ukf", 40, 7, 1), ("sparse_ukf", 160, 41, 1), ("sparse_ukf", 640, 7, 1),
+        ("progressive_ekf", 40, 11, 2), ("progressive_ekf", 160, 41, 2),
+        ("progressive_ekf", 640, 7, 1),
+    ])
+    def test_replicate_rmse_matches_over_50_cycles(self, monkeypatch, filter_name, n, nsp, n_p):
+        config = harness.ExperimentConfig(filter=filter_name, n=n, nsp=nsp, n_p=n_p,
+                                          n_steps=50, n_replicates=1, master_seed=63)
+        new = harness.run_replicate(config.validate(), 0)
+        monkeypatch.setattr(harness, "sparse_ukf_cycle", dense_path_sparse_ukf_cycle)
+        monkeypatch.setattr(harness, "progressive_ekf_cycle", dense_path_progressive_ekf_cycle)
+        old = harness.run_replicate(config, 0)
+        assert not new.failed and not old.failed
+        assert abs(new.rmse - old.rmse) <= 1e-10
+        assert new.eval_per_cycle == old.eval_per_cycle

@@ -219,6 +219,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(n_p=0).validate()
 
+    @pytest.mark.parametrize("overrides", [
+        dict(kappa=-50.0),
+        dict(filter="dense_ukf", kappa=-40.0),
+        dict(filter="enkf", loc_radius=0.0),
+        dict(filter="enkf", r_scale=0.0),
+    ])
+    def test_configurations_that_cannot_run_are_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            tiny_config(**overrides).validate()
+
+    def test_kappa_only_constrains_the_ukfs(self):
+        tiny_config(filter="progressive_ekf", kappa=-50.0).validate()
+        tiny_config(filter="sparse_ukf", kappa=-39.0).validate()
+        tiny_config(filter="sparse_ukf", r_scale=0.0).validate()
+
     def test_paper_scale(self):
         cfg = tiny_config().paper_scale()
         assert cfg.n_steps == 4000 and cfg.n_replicates == 1000
@@ -317,3 +332,21 @@ class TestCli:
     def test_invalid_config_value_fails(self):
         code = main(["run", "--nsp", "6", "--n-steps", "5"])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--kappa", "-50"],
+        ["--filter", "enkf", "--loc-radius", "0"],
+        ["--filter", "enkf", "--r-scale", "0"],
+    ])
+    def test_configurations_that_cannot_run_exit_2(self, flags, capsys):
+        code = main(["bench", *flags, "--n-steps", "5", "--n-replicates", "2", "--workers", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_integer_worker_count_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("SPARSEKF_WORKERS", "two")
+        code = main(["bench", "--n-steps", "5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: SPARSEKF_WORKERS must be an integer, got 'two'\n"

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from helpers import LinearModel, full_step_columns, ring_rk4
 from sparsekf.models import (
     Lorenz96Model,
     ObservationOperator,
     StencilError,
     lorenz96_rhs,
     rk4_step,
+    rk4_window,
+    step_columns,
 )
-from sparsekf.sparse_core import SparseVector
+from sparsekf.sparse_core import SparseVector, SparsityPattern
 
 
 def attractor_state(n=40, forcing=8.0, dt=0.025, steps=500, seed=0):
@@ -125,6 +128,120 @@ class TestStepComponents:
         for b in range(6):
             sv = model.step_components(X[b], idx[b])
             assert np.array_equal(vals[b], sv.values)
+
+
+class TestWindowedEvaluation:
+    """``step_columns`` steps each perturbed state on its pattern column plus
+    the RK4 halo; the kept entries must equal the full step bit for bit."""
+
+    @staticmethod
+    def _perturbations(rng, pattern, scale=0.5):
+        F = scale * rng.standard_normal((pattern.n, pattern.nsp))
+        return np.stack([F, -F])
+
+    def test_window_rk4_is_the_centre_of_the_ring_rk4(self):
+        rng = np.random.default_rng(40)
+        for width in (13, 14, 19, 31):
+            X = rng.normal(scale=4.0, size=(9, width))
+            for dt in (0.025, 0.0125):
+                assert np.array_equal(rk4_window(X, dt, 8.0), ring_rk4(X, dt)[:, 8:-4])
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 12, 40, 641])
+    def test_full_step_is_the_ring_rk4(self, n):
+        # rk4_step pads the ring with its halo and steps the window
+        rng = np.random.default_rng(n)
+        X = rng.normal(scale=4.0, size=(3, n))
+        for dt in (0.025, 0.01):
+            assert np.array_equal(rk4_step(X, dt, 8.0), ring_rk4(X, dt))
+            assert np.array_equal(rk4_step(X[0], dt, 8.0), ring_rk4(X[0], dt))
+        with pytest.raises(ValueError):
+            rk4_step(np.zeros(3), 0.025, 8.0)
+
+    @pytest.mark.parametrize("n", [16, 40, 160])
+    def test_every_bandwidth_matches_full_step(self, n):
+        model = Lorenz96Model(n=n)
+        rng = np.random.default_rng(41 + n)
+        x = attractor_state(n=n, seed=n)
+        for h in range(n // 2 + 1):  # windowed, whole-state fallback, full pattern
+            pattern = SparsityPattern(n, h)
+            P = self._perturbations(rng, pattern)
+            for dt in (model.dt, model.dt / 2):
+                got = step_columns(model, x, pattern, P, dt=dt)
+                assert np.array_equal(got, full_step_columns(x, pattern, P, dt)), (h, dt)
+
+    def test_wrap_columns(self):
+        # columns 0 and n-1 gather windows that wrap around the ring
+        n = 40
+        model = Lorenz96Model(n=n)
+        pattern = SparsityPattern(n, 3)
+        x = attractor_state(seed=42)
+        P = self._perturbations(np.random.default_rng(42), pattern)
+        got = step_columns(model, x, pattern, P)
+        want = full_step_columns(x, pattern, P, model.dt)
+        for c in (0, n - 1):
+            assert np.array_equal(got[:, c], want[:, c])
+            assert np.array_equal(got[0, c], model.step(x + _scatter(pattern, c, P[0, c]))[
+                pattern.offset_columns[c]])
+
+    def test_windows_are_nsp_plus_halo_wide(self):
+        n, h = 640, 3
+        pattern = SparsityPattern(n, h)
+        widths = []
+
+        class Spy(Lorenz96Model):
+            def step_components_many(self, X, out_indices, dt=None):
+                widths.append(np.shape(X))
+                return super().step_components_many(X, out_indices, dt=dt)
+
+        step_columns(Spy(n=n), np.zeros(n), pattern, np.zeros((2, n, pattern.nsp)))
+        assert widths == [(2 * n, pattern.nsp + 12)]
+        widths.clear()
+        wide = SparsityPattern(16, 2)  # 5 + 12 >= 16: whole states
+        step_columns(Spy(n=16), np.zeros(16), wide, np.zeros((16, wide.nsp)))
+        assert widths == [(16, 16)]
+
+    def test_counts_nsp_per_perturbed_state(self):
+        for n, h in ((40, 3), (16, 4)):  # windowed and whole-state
+            model = Lorenz96Model(n=n)
+            pattern = SparsityPattern(n, h)
+            step_columns(model, np.zeros(n), pattern, np.zeros((2, n, pattern.nsp)))
+            assert model.evaluation_count == 2 * n * pattern.nsp
+
+    def test_model_without_halo_steps_whole_states(self):
+        rng = np.random.default_rng(43)
+        n = 7
+        A = rng.normal(size=(n, n))
+        model = LinearModel(A)
+        assert model.halo is None
+        pattern = SparsityPattern(n, 2)
+        x = rng.normal(size=n)
+        P = self._perturbations(rng, pattern)
+        got = step_columns(model, x, pattern, P)
+        for c in range(n):
+            for s in range(2):
+                want = A @ (x + _scatter(pattern, c, P[s, c]))
+                assert np.array_equal(got[s, c], want[pattern.offset_columns[c]])
+        assert model.evaluation_count == 2 * n * pattern.nsp
+
+    def test_window_outputs_must_stay_inside_the_halo(self):
+        model = Lorenz96Model()
+        X = np.zeros((2, 19))
+        model.step_components_many(X, np.array([[8, 14], [9, 10]]))
+        with pytest.raises(ValueError):
+            model.step_components_many(X, np.array([[7, 8], [9, 10]]))
+        with pytest.raises(ValueError):
+            model.step_components_many(X, np.array([[8, 15], [9, 10]]))
+
+    def test_shape_validation(self):
+        model = Lorenz96Model()
+        with pytest.raises(ValueError):
+            step_columns(model, np.zeros(40), SparsityPattern(40, 3), np.zeros((40, 5)))
+
+
+def _scatter(pattern, c, values):
+    v = np.zeros(pattern.n)
+    v[pattern.offset_columns[c]] = values
+    return v
 
 
 class TestDependencyStencil:

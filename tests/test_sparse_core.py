@@ -10,6 +10,9 @@ from sparsekf.sparse_core import (
     SparseVector,
     SparsityPattern,
     incomplete_cholesky,
+    local_outer_sum,
+    local_sum_band,
+    local_sum_columns,
     merge,
     min_eigenvalue,
     restricted_outer_accumulate,
@@ -202,6 +205,92 @@ class TestRestrictedOuterAccumulate:
             restricted_outer_accumulate(np.zeros((2, 4)), np.ones(3), p)
 
 
+PATTERNS = [(1, 0), (3, 1), (6, 2), (6, 3), (7, 3), (11, 3), (20, 5), (20, 10), (40, 3)]
+
+
+def scatter_columns(C, pattern):
+    """Dense M with column i holding C[i] at rows offset_columns[i]."""
+    M = np.zeros((pattern.n, pattern.n))
+    M[pattern.offset_columns, np.arange(pattern.n)[:, None]] = C
+    return M
+
+
+class TestOffsetOrder:
+    @pytest.mark.parametrize("n,h", PATTERNS)
+    def test_offset_columns_are_the_sorted_columns_reordered(self, n, h):
+        p = SparsityPattern(n, h)
+        assert np.array_equal(np.sort(p.offset_columns, axis=1), p.columns)
+        assert np.array_equal(p.offset_columns[:, 0], (np.arange(n) + p.offsets[0]) % n)
+        vals = np.arange(n * p.nsp, dtype=float).reshape(n, p.nsp)
+        dense = scatter_columns(vals.ravel()[p.offset_order], p)
+        sorted_dense = np.zeros((n, n))
+        sorted_dense[p.columns, np.arange(n)[:, None]] = vals
+        assert np.array_equal(dense, sorted_dense)
+
+    @pytest.mark.parametrize("n,h", PATTERNS)
+    def test_columns_read_what_to_dense_writes(self, n, h):
+        p = SparsityPattern(n, h)
+        M = SparseSymMatrix(p, np.random.default_rng(n + h).normal(size=(n, h + 1)))
+        D = M.to_dense()
+        assert np.array_equal(M.column_values(), D[p.offset_columns, np.arange(n)[:, None]])
+        for cols in (np.arange(0, n, 2), np.arange(n)[::-1]):
+            assert np.array_equal(M.dense_columns(cols), D[:, cols])
+
+    @pytest.mark.parametrize("n,h", PATTERNS)
+    def test_from_columns_is_m_plus_m_transpose(self, n, h):
+        p = SparsityPattern(n, h)
+        C = np.random.default_rng(n * h + 1).normal(size=(n, p.nsp))
+        M = scatter_columns(C, p)
+        got = SparseSymMatrix.from_columns(C, p)
+        assert np.array_equal(got.band, SparseSymMatrix.from_dense(M + M.T, p).band)
+
+
+class TestLocalOuterSum:
+    """Sum of outer products of column-local vectors, against its dense sum."""
+
+    @staticmethod
+    def dense_sum(V, w, p):
+        A = np.zeros((p.n, p.n))
+        for k in range(V.shape[0]):
+            for i in range(p.n):
+                v = np.zeros(p.n)
+                v[p.offset_columns[i]] = V[k, i]
+                A += w * np.outer(v, v)
+        return A
+
+    @pytest.mark.parametrize("n,h", PATTERNS)
+    def test_band_matches_dense(self, n, h):
+        rng = np.random.default_rng(31 * n + h)
+        p = SparsityPattern(n, h)
+        V = rng.normal(size=(2, n, p.nsp))
+        A = self.dense_sum(V, 0.3, p)
+        got = local_sum_band(local_outer_sum(V, 0.3, p), p)
+        scale = np.abs(A).max() + 1.0
+        assert np.abs(got.to_dense() - np.where(dense_mask(p), A, 0.0)).max() <= 1e-13 * scale
+        expected = SparseSymMatrix.from_dense(A, p).band
+        assert np.abs(got.band - expected).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n,h", PATTERNS)
+    def test_columns_match_dense(self, n, h):
+        rng = np.random.default_rng(37 * n + h)
+        p = SparsityPattern(n, h)
+        V = rng.normal(size=(3, n, p.nsp))
+        A = self.dense_sum(V, 1.7, p)
+        D = local_outer_sum(V, 1.7, p)
+        for cols in (np.arange(0, n, 2), np.arange(n), np.unique([n - 1, 0])):
+            got = local_sum_columns(D, p, cols)
+            assert got.shape == (n, cols.size)
+            assert np.abs(got - A[:, cols]).max() <= 1e-13 * (np.abs(A).max() + 1.0)
+
+    def test_columns_reach_twice_the_half_bandwidth(self):
+        # entries at cyclic distance h+1..2h are outside the pattern but in A
+        p = SparsityPattern(20, 2)
+        D = local_outer_sum(np.ones((1, 20, p.nsp)), 1.0, p)
+        cols = local_sum_columns(D, p, np.arange(20))
+        dist = np.minimum(np.arange(20), 20 - np.arange(20))
+        assert np.array_equal(cols[0], np.where(dist <= 4, 5.0 - dist, 0.0))
+
+
 class TestIncompleteCholesky:
     def test_identity_factors_to_identity(self):
         for n, h in [(5, 1), (8, 0), (12, 4), (6, 3)]:
@@ -356,6 +445,17 @@ class TestRestrictedProduct:
         expected = np.where(dense_mask(p), dense, 0.0)
         M = restricted_product(K, Pxy.T, p)
         assert np.abs(M.to_dense() - expected).max() <= 1e-12 * (np.abs(dense).max() + 1)
+
+    @pytest.mark.parametrize("n,h", PATTERNS)
+    def test_band_only_matches_dense_product(self, n, h):
+        # entrywise symmetrization of the dense product, for any A @ B
+        rng = np.random.default_rng(3 * n + h)
+        p = SparsityPattern(n, h)
+        A = rng.normal(size=(n, 4))
+        B = rng.normal(size=(4, n))
+        got = restricted_product(A, B, p)
+        expected = SparseSymMatrix.from_dense(A @ B, p)
+        assert np.abs(got.band - expected.band).max() <= 1e-13
 
     def test_shape_validation(self):
         p = SparsityPattern(4, 1)
