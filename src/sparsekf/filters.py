@@ -20,7 +20,9 @@ import numpy as np
 
 from .models import step_columns
 from .sparse_core import (
+    CyclicBandCholesky,
     SparseSymMatrix,
+    cholesky_with_jitter,
     incomplete_cholesky,
     local_outer_sum,
     local_sum_band,
@@ -28,21 +30,34 @@ from .sparse_core import (
     min_eigenvalue,
     restricted_outer_accumulate,
     restricted_product,
+    uses_structured_path,
 )
 
 # Margin added on top of |lambda_min| when repairing an indefinite covariance,
 # so the repaired matrix is positive definite rather than merely semidefinite.
 GAMMA_MARGIN = 1e-8
 
+# Floor of the positive-definiteness test that lets the repair skip the
+# eigenvalue, relative to max |E|. It lies far above the rounding of a
+# Cholesky factorization or of eigvalsh (about n * 1e-16 relative), so a
+# matrix that passes also reads lambda_min >= 0 under numpy's eigvalsh.
+PD_FLOOR = 1e-10
+
 
 @dataclass
 class CycleDiagnostics:
-    """Per-cycle bookkeeping: repair sizes and computational load."""
+    """Per-cycle bookkeeping: repair sizes and computational load.
+
+    ``repair_factorizations`` counts the Cholesky factorizations the gamma
+    repair made (1 when one certified the covariance positive definite, 0
+    on the dense path, where the repair is a dense eigvalsh).
+    """
 
     gamma: float = 0.0
     cholesky_jitter: float = 0.0
     evaluations: int = 0
     innovation_norm: float = 0.0
+    repair_factorizations: int = 0
 
 
 @dataclass
@@ -159,29 +174,28 @@ def _gaspari_cohn_matrix(n, radius):
 
 
 def _gamma_repair(E):
-    """Eq.-style positivity repair: gamma = |lambda_min| + margin if indefinite."""
-    lam = min_eigenvalue(E)
+    """Eq.-style positivity repair: gamma = |lambda_min| + margin if indefinite.
+
+    On the structured path (``uses_structured_path``) one factorization
+    first tries to certify ``E - tau I`` positive definite, tau = PD_FLOOR *
+    max|E|; gamma is then 0 without an eigenvalue. Returns (Pa, gamma,
+    factorizations made).
+    """
+    factorizations = 0
+    if uses_structured_path(E.n, E.pattern.half_bandwidth):
+        factorizations = 1
+        try:
+            CyclicBandCholesky(E, shift=-PD_FLOOR * float(np.abs(E.band).max()))
+            return E, 0.0, factorizations
+        except np.linalg.LinAlgError:
+            pass
+    info = {}
+    lam = min_eigenvalue(E, info)
+    factorizations += info["factorizations"]
     if lam < 0.0:
         gamma = -lam + GAMMA_MARGIN
-        return E.add_scaled_identity(gamma), gamma
-    return E, 0.0
-
-
-def _dense_cholesky_with_jitter(A):
-    """Lower Cholesky factor with the same jitter retry schedule as the sparse path."""
-    jitter = 0.0
-    n = A.shape[0]
-    for _ in range(21):
-        try:
-            M = A if jitter == 0.0 else A + jitter * np.eye(n)
-            return np.linalg.cholesky(M), jitter
-        except np.linalg.LinAlgError:
-            jitter = 1e-10 if jitter == 0.0 else 2.0 * jitter
-    from .sparse_core import FactorizationError
-
-    raise FactorizationError(
-        f"dense Cholesky failed after 20 jitter retries (last jitter {jitter / 2:g})"
-    )
+        return E.add_scaled_identity(gamma), gamma, factorizations
+    return E, 0.0, factorizations
 
 
 def sparse_ukf_cycle(state, y_obs, model, obs_op, params):
@@ -226,8 +240,8 @@ def sparse_ukf_cycle(state, y_obs, model, obs_op, params):
 
     evals = model.evaluation_count - evals0
     if y_obs is None:
-        Pa, gamma = _gamma_repair(Pb)
-        diag = CycleDiagnostics(gamma, jitter, evals, 0.0)
+        Pa, gamma, factorizations = _gamma_repair(Pb)
+        diag = CycleDiagnostics(gamma, jitter, evals, 0.0, factorizations)
         return FilterState(xb_mean, Pa, diag)
 
     # Step 3: Kalman gain and analysis
@@ -239,9 +253,9 @@ def sparse_ukf_cycle(state, y_obs, model, obs_op, params):
     innov = y_obs - obs_op.observe(xb_mean)
     xa = xb_mean + K @ innov
     E = Pb - restricted_product(K, Pxy.T, pattern)
-    Pa, gamma = _gamma_repair(E)
+    Pa, gamma, factorizations = _gamma_repair(E)
 
-    diag = CycleDiagnostics(gamma, jitter, evals, float(np.linalg.norm(innov)))
+    diag = CycleDiagnostics(gamma, jitter, evals, float(np.linalg.norm(innov)), factorizations)
     return FilterState(xa, Pa, diag)
 
 
@@ -279,8 +293,8 @@ def progressive_ekf_cycle(state, y_obs, model, obs_op, params):
     evals = model.evaluation_count - evals0
 
     if y_obs is None:
-        Pa, gamma = _gamma_repair(P)
-        diag = CycleDiagnostics(gamma, 0.0, evals, 0.0)
+        Pa, gamma, factorizations = _gamma_repair(P)
+        diag = CycleDiagnostics(gamma, 0.0, evals, 0.0, factorizations)
         return FilterState(xb, Pa, diag)
 
     # Step 3: Kalman gain and analysis
@@ -292,9 +306,9 @@ def progressive_ekf_cycle(state, y_obs, model, obs_op, params):
     innov = y_obs - yb
     xa = xb + K @ innov
     E = P - restricted_product(K, PHt.T, pattern)
-    Pa, gamma = _gamma_repair(E)
+    Pa, gamma, factorizations = _gamma_repair(E)
 
-    diag = CycleDiagnostics(gamma, 0.0, evals, float(np.linalg.norm(innov)))
+    diag = CycleDiagnostics(gamma, 0.0, evals, float(np.linalg.norm(innov)), factorizations)
     return FilterState(xa, Pa, diag)
 
 
@@ -340,7 +354,7 @@ def dense_ukf_cycle(state, y_obs, model, obs_op, params):
     w = ukf_weights(n, params.kappa)
     evals0 = model.evaluation_count
 
-    L, jitter = _dense_cholesky_with_jitter((n + params.kappa) * state.Pa)
+    L, jitter = cholesky_with_jitter((n + params.kappa) * state.Pa)
     sigma = np.concatenate([state.xa[None, :], state.xa + L.T, state.xa - L.T])
     Xb = model.step_many(sigma)
     xb_mean = w @ Xb

@@ -308,7 +308,10 @@ def run_replicate(config, replicate):
         for k in range(1, config.n_steps + 1):
             state = cycle(state, y_at.get(k), model)
             if not np.all(np.isfinite(state.xa)):
-                raise FloatingPointError(f"non-finite analysis state at cycle {k}")
+                raise FloatingPointError("non-finite analysis state")
+            # the band of a sparse covariance, the dense covariance, or the EnKF members
+            if not np.isfinite(getattr(state.Pa, "band", state.Pa)).all():
+                raise FloatingPointError("non-finite analysis covariance")
             sq_sum += float(np.sum((state.xa - truth[k]) ** 2))
             d = state.diagnostics
             if d is not None:
@@ -317,7 +320,7 @@ def run_replicate(config, replicate):
     except (FactorizationError, FloatingPointError, np.linalg.LinAlgError) as exc:
         return ReplicateResult(
             replicate, float("nan"), float("nan"), gamma_hits, jitter_hits,
-            failed=True, error=f"{type(exc).__name__}: {exc}",
+            failed=True, error=f"{type(exc).__name__} at cycle {k}: {exc}",
         )
 
     run_rmse = math.sqrt(sq_sum / (config.n * (config.n_steps + 1)))
@@ -391,7 +394,8 @@ def _fmt(x):
     return f"{x:.6g}"
 
 
-RUNS_CSV_HEADER = "filter,param,replicate,rmse,eval_per_cycle,gamma_activations"
+RUNS_CSV_HEADER = (
+    "filter,param,replicate,rmse,eval_per_cycle,gamma_activations,jitter_activations")
 SUMMARY_CSV_HEADER = "filter,param,median,mean,std,q1,q3,n_replicates,n_failed"
 
 
@@ -402,7 +406,8 @@ def write_runs_csv(summary, path):
         for r in summary.results:
             f.write(
                 f"{summary.filter},{summary.param},{r.replicate},"
-                f"{_fmt(r.rmse)},{_fmt(r.eval_per_cycle)},{r.gamma_activations}\n"
+                f"{_fmt(r.rmse)},{_fmt(r.eval_per_cycle)},{r.gamma_activations},"
+                f"{r.jitter_activations}\n"
             )
 
 

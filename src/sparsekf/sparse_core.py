@@ -12,8 +12,12 @@ Contents:
   - restricted_outer_accumulate / restricted_product: pattern-limited products
   - local_outer_sum, local_sum_band / local_sum_columns: sums of outer
     products of column-local vectors, read back on the pattern or by column
+  - cholesky_with_jitter: the jitter retry schedule shared by every factor
+  - CyclicBandCholesky: exact O(n b^2) factor of a cyclic band, with solves;
+    uses_structured_path decides from (n, h) when it replaces the dense one
   - incomplete_cholesky: pattern-restricted factorization with jitter retries
-  - min_eigenvalue: smallest eigenvalue of the represented symmetric matrix
+  - min_eigenvalue: smallest eigenvalue of the represented symmetric matrix,
+    certified by shifted factorizations on the structured path
 """
 
 from __future__ import annotations
@@ -480,6 +484,224 @@ def local_sum_columns(D, pattern, cols):
     return out.reshape(n, cols.size)
 
 
+# ---------------------------------------------------------------------------
+# Cholesky factorization: one jitter schedule, a dense and a structured kernel
+
+JITTER_START = 1e-10  # first jitter of the retry schedule; it doubles on each retry
+JITTER_RETRIES = 20
+
+# The structured factorization splits the ring into blocks of at least
+# BLOCK_ROWS rows (and at least h); it is used when that gives MIN_BLOCKS or
+# more blocks. Below that, one dense LAPACK call beats the block loop.
+BLOCK_ROWS = 32
+MIN_BLOCKS = 8
+
+
+def _check_finite(values):
+    if not np.isfinite(values).all():
+        raise FactorizationError("cannot factor a matrix with non-finite entries")
+
+
+def _dense_cholesky(A, jitter=0.0):
+    """Lower Cholesky factor of the dense matrix ``A + jitter * I``."""
+    A = np.asarray(A, dtype=float)
+    _check_finite(A)
+    return np.linalg.cholesky(A if jitter == 0.0 else A + jitter * np.eye(A.shape[0]))
+
+
+def cholesky_with_jitter(A, factor=_dense_cholesky):
+    """``(factor(A, jitter), jitter)`` for the first jitter that factors.
+
+    The schedule is 0, then JITTER_START doubling for at most JITTER_RETRIES
+    retries; ``factor`` signals a matrix that is not positive definite by
+    raising ``np.linalg.LinAlgError``. Non-finite input raises
+    FactorizationError at once (numpy's Cholesky returns NaNs for it).
+    """
+    jitter = 0.0
+    for _ in range(JITTER_RETRIES + 1):
+        try:
+            return factor(A, jitter), jitter
+        except np.linalg.LinAlgError:
+            jitter = JITTER_START if jitter == 0.0 else 2.0 * jitter
+    raise FactorizationError(
+        f"Cholesky failed after {JITTER_RETRIES} jitter retries (last jitter {jitter / 2:g})"
+    )
+
+
+def uses_structured_path(n, h):
+    """True when an (n, h) cyclic band is factored by CyclicBandCholesky
+    rather than through the dense n x n matrix."""
+    return n >= MIN_BLOCKS * max(BLOCK_ROWS, h)
+
+
+def _band_index(n, h, i, j):
+    """Flat index of entry (i, j) in a band array, or n*(h+1) (a trailing
+    zero appended to the flattened band) outside the pattern."""
+    d, e = (j - i) % n, (i - j) % n
+    return np.where(d <= h, i * (h + 1) + d, np.where(e <= h, j * (h + 1) + e, n * (h + 1)))
+
+
+@lru_cache(maxsize=16)
+def _block_layout(n, h, b):
+    """Gather indices of the cyclic block-tridiagonal partition into blocks
+    0..N-2 of b rows and a last block of the remaining bl (b <= bl < 2b)
+    rows, N >= 2.
+
+    ``diag`` (N-1, b, b) and ``sub`` (N-2, b, b) index the diagonal blocks
+    and the couplings of block k+1 to block k below the last block; ``last``
+    (bl, n) indexes the last block row. ``restrict`` (n, nsp) indexes the
+    concatenation of the factor's diag, sub and last arrays (plus a zero)
+    at the pattern entries of every column, aligned with ``columns``.
+    """
+    N = n // b
+    top = (N - 1) * b  # first row of the last block
+    k = np.arange(N - 1)[:, None, None]
+    r = np.arange(b)[None, :, None]
+    c = np.arange(b)[None, None, :]
+    diag = _band_index(n, h, k * b + r, k * b + c)
+    sub = _band_index(n, h, (k[:-1] + 1) * b + r, k[:-1] * b + c)
+    last = _band_index(n, h, np.arange(top, n)[:, None], np.arange(n)[None, :])
+
+    pattern = SparsityPattern(n, h)
+    row = pattern.columns
+    col = np.broadcast_to(np.arange(n)[:, None], row.shape)
+    block_r, block_c = np.minimum(row // b, N - 1), np.minimum(col // b, N - 1)
+    n_diag, n_sub = (N - 1) * b * b, (N - 2) * b * b
+    zero = n_diag + n_sub + (n - top) * n
+    restrict = np.where(
+        block_r == N - 1, n_diag + n_sub + (row - top) * n + col,
+        np.where(block_r == block_c, block_c * b * b + (row % b) * b + col % b,
+                 n_diag + block_c * b * b + (row % b) * b + col % b))
+    restrict = np.where(row >= col, restrict, zero)
+    return tuple(_read_only(a) for a in (diag, sub, last, restrict))
+
+
+def _tril_inverse(L):
+    """Inverses of a stack (k, m, m) of lower-triangular matrices.
+
+    Recursive doubling on diagonal blocks, [[X, 0], [C, Y]]^-1 =
+    [[X^-1, 0], [-Y^-1 C X^-1, Y^-1]], from 1 x 1 blocks up to m padded to a
+    power of two: matrix products only, which for blocks of a few dozen rows
+    are several times faster than LAPACK's solvers called through numpy.
+    """
+    k, m, _ = L.shape
+    size = 1 << max(m - 1, 0).bit_length()
+    A = np.zeros((k, size, size))
+    A[:, :m, :m] = L
+    pad = np.arange(m, size)
+    A[:, pad, pad] = 1.0
+    d = np.arange(size)
+    inv = (1.0 / A[:, d, d])[:, :, None, None]  # (k, blocks, s, s) inverses of diagonal blocks
+    s = 1
+    while s < size:
+        nb = size // (2 * s)
+        p = np.arange(nb)
+        coupling = A.reshape(k, nb, 2 * s, nb, 2 * s)[:, p, s:, p, :s].swapaxes(0, 1)
+        X, Y = inv[:, 0::2], inv[:, 1::2]
+        inv = np.zeros((k, nb, 2 * s, 2 * s))
+        inv[..., :s, :s] = X
+        inv[..., s:, s:] = Y
+        inv[..., s:, :s] = -(Y @ coupling @ X)
+        s *= 2
+    return inv[:, 0, :m, :m]
+
+
+class CyclicBandCholesky:
+    """Exact lower Cholesky factor of ``scale * P + shift * I`` for P on a
+    cyclic band, built without an n x n array.
+
+    With blocks of b >= h rows the cyclic band is cyclic block-tridiagonal,
+    so the factor is block-bidiagonal (``diag`` blocks and their ``sub``
+    couplings) plus a dense border: the last block row ``last`` (bl x n),
+    which also holds the last diagonal block. The work is O(n b^2):
+
+    - block k and its coupling to block k+1 come from one
+      ``np.linalg.cholesky`` of the 2b x 2b window [[S_k, C_k^T], [C_k,
+      D_{k+1}]], S_k being the Schur complement of block k (the window is a
+      Schur complement of a leading principal submatrix);
+    - the border follows from the block inverses (``_tril_inverse``), and
+      the last diagonal block from its Schur complement.
+
+    A block that fails to factor raises ``np.linalg.LinAlgError``: the
+    shifted matrix is then not positive definite. Non-finite input raises
+    FactorizationError.
+    """
+
+    def __init__(self, P, scale=1.0, shift=0.0):
+        n, h = P.pattern.n, P.pattern.half_bandwidth
+        b = max(BLOCK_ROWS, h)
+        if n < 2 * b:
+            raise ValueError(f"the structured factorization needs n >= {2 * b}, got n={n}")
+        _check_finite(P.band)
+        band = np.empty(n * (h + 1) + 1)
+        band[:-1] = (scale * P.band).ravel()
+        band[:-1:h + 1] += shift
+        band[-1] = 0.0
+        diag_idx, sub_idx, last_idx, self._restrict = _block_layout(n, h, b)
+        D, C, B = band[diag_idx], band[sub_idx], band[last_idx]
+        N, top = n // b, (n // b - 1) * b
+        self.n, self.b, self._blocks, self._top = n, b, N, top
+        window = np.empty((2 * b, 2 * b))
+        S = D[0]
+        for k in range(N - 2):
+            window[:b, :b] = S
+            window[b:, :b] = C[k]
+            window[:b, b:] = C[k].T
+            window[b:, b:] = D[k + 1]
+            F = np.linalg.cholesky(window)
+            D[k], C[k] = F[:b, :b], F[b:, :b]
+            S = D[k + 1] - C[k] @ C[k].T
+        D[N - 2] = np.linalg.cholesky(S)
+        self._inv = _tril_inverse(D)
+        border = B[:, :top]
+        for k in range(N - 1):  # border L[last, k] = (A[last, k] - L[last, k-1] L[k, k-1]^T) L[k, k]^-T
+            s = slice(k * b, (k + 1) * b)
+            if k:
+                border[:, s] -= border[:, s.start - b:s.start] @ C[k - 1].T
+            border[:, s] = border[:, s] @ self._inv[k].T
+        B[:, top:] = np.linalg.cholesky(B[:, top:] - border @ border.T)
+        self.diag, self.sub, self.last = D, C, B
+
+    @cached_property
+    def _recurrences(self):
+        """Block inverses and the couplings of the block recurrences in ``solve``."""
+        inv = self._inv
+        forward = inv[1:] @ self.sub  # L[k,k]^-1 L[k,k-1]
+        backward = np.swapaxes(self.sub @ inv[:-1], 1, 2)  # L[k,k]^-T L[k+1,k]^T
+        return inv, forward, backward, _tril_inverse(self.last[None, :, self._top:])[0]
+
+    def pattern_values(self):
+        """(n, nsp) factor entries at the pattern, aligned with ``pattern.columns``."""
+        flat = np.concatenate([self.diag.ravel(), self.sub.ravel(), self.last.ravel(), [0.0]])
+        return flat[self._restrict]
+
+    def to_dense(self):
+        n, b, N, top = self.n, self.b, self._blocks, self._top
+        L = np.zeros((n, n))
+        for k in range(N - 1):
+            L[k * b:(k + 1) * b, k * b:(k + 1) * b] = self.diag[k]
+            if k < N - 2:
+                L[(k + 1) * b:(k + 2) * b, k * b:(k + 1) * b] = self.sub[k]
+        L[top:] = self.last
+        return L
+
+    def solve(self, v):
+        """Solve ``(L L^T) x = v`` for one right-hand side."""
+        b, N, top = self.b, self._blocks, self._top
+        inv, forward, backward, inv_last = self._recurrences
+        border = self.last[:, :top]
+        v = np.asarray(v, dtype=float)
+        Y = (inv @ v[:top].reshape(N - 1, b, 1))[..., 0]  # forward: L y = v
+        for k in range(1, N - 1):
+            Y[k] -= forward[k - 1] @ Y[k - 1]
+        x_last = inv_last.T @ (inv_last @ (v[top:] - border @ Y.ravel()))
+        W = Y.ravel() - border.T @ x_last  # backward: L^T x = y
+        X = (np.swapaxes(inv, 1, 2) @ W.reshape(N - 1, b, 1))[..., 0]
+        for k in range(N - 3, -1, -1):
+            X[k] -= backward[k] @ X[k + 1]
+        return np.concatenate([X.ravel(), x_last])
+
+
 def incomplete_cholesky(P, scale=1.0):
     """Incomplete Cholesky factor of ``scale * P``, restricted to P's pattern.
 
@@ -493,9 +715,10 @@ def incomplete_cholesky(P, scale=1.0):
     covariances (fresh out of the gamma repair) do not permit when fill
     contributions are zeroed inside the recurrence.
 
-    On numerical failure the factorization is retried on
-    ``scale * P + jitter * I`` with jitter doubling from 1e-10 for at most
-    20 retries.
+    Large rings (``uses_structured_path``) are factored by
+    CyclicBandCholesky in O(n b^2); the rest through the dense n x n matrix.
+    Both retry on ``scale * P + jitter * I`` with the schedule of
+    ``cholesky_with_jitter``.
 
     Returns
     -------
@@ -506,29 +729,154 @@ def incomplete_cholesky(P, scale=1.0):
     if scale <= 0.0:
         raise ValueError(f"scale must be positive, got {scale}")
     pattern = P.pattern
-    n = pattern.n
-    A0 = P.to_dense()
-    A0 *= scale
-    jitter = 0.0
-    for _ in range(21):
-        A = A0 if jitter == 0.0 else A0 + jitter * np.eye(n)
+    if uses_structured_path(pattern.n, pattern.half_bandwidth):
+        L, jitter = cholesky_with_jitter(P, lambda A, j: CyclicBandCholesky(A, scale, j))
+        return SparseColumns(pattern, L.pattern_values()), jitter
+    A = P.to_dense()
+    A *= scale
+    L, jitter = cholesky_with_jitter(A)
+    return SparseColumns.from_dense(L, pattern), jitter
+
+
+# ---------------------------------------------------------------------------
+# Certified smallest eigenvalue on the structured path
+
+EIGEN_GAP = 5e-13  # relative to max |P|; see min_eigenvalue
+EIGEN_FACTORIZATIONS = 8  # past this many factorizations, fall back to eigvalsh
+PLAIN_STEPS = 40  # Lanczos steps on P itself for the first shift
+LANCZOS_STEPS = 12  # solves per shift-invert Lanczos run before the shift moves
+
+
+def _krylov(apply, x0, steps):
+    """Lanczos with full reorthogonalization on the symmetric operator
+    ``apply``: yields (alpha, beta, basis) after each application; stops
+    early when the Krylov space is invariant."""
+    Q = np.zeros((steps, x0.size))
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    q = x0 / np.linalg.norm(x0)
+    for j in range(steps):
+        Q[j] = q
+        w = apply(q)
+        alpha[j] = q @ w
+        basis = Q[:j + 1]
+        for _ in range(2):
+            w -= (basis @ w) @ basis
+        beta[j] = np.linalg.norm(w)
+        yield alpha[:j + 1], beta[:j + 1], basis
+        if beta[j] <= 1e-14 * np.abs(alpha[:j + 1]).max():
+            return
+        q = w / beta[j]
+
+
+def _ritz(alpha, beta, basis):
+    """Largest Ritz value mu of a Lanczos run, its unit Ritz vector, its
+    residual norm rho, and the next Ritz value (-inf after one step)."""
+    T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+    mu, S = np.linalg.eigh(T)
+    x = S[:, -1] @ basis
+    return mu[-1], x / np.linalg.norm(x), beta[-1] * abs(S[-1, -1]), \
+        (mu[-2] if mu.size > 1 else -np.inf)
+
+
+def _certified_min_eigenvalue(P):
+    """(lambda_min, factorizations) on the structured path; lambda_min is
+    None when EIGEN_FACTORIZATIONS were spent without a certificate."""
+    band = P.band
+    _check_finite(band)
+    scale = float(np.abs(band).max())
+    if scale == 0.0:
+        return 0.0, 0
+    eps = EIGEN_GAP * scale
+    rows, cols = P.column_values(), P.pattern.offset_columns  # row i of P at cols[i]
+
+    def matvec(v):
+        return np.einsum("ij,ij->i", rows, v[cols])
+
+    count = 0
+
+    def factor(shift):
+        nonlocal count
+        count += 1
         try:
-            L = np.linalg.cholesky(A)
+            return CyclicBandCholesky(P, shift=-shift)
         except np.linalg.LinAlgError:
-            jitter = 1e-10 if jitter == 0.0 else 2.0 * jitter
-            continue
-        return SparseColumns.from_dense(L, pattern), jitter
-    raise FactorizationError(
-        f"incomplete Cholesky failed after 20 jitter retries (last jitter {jitter / 2:g})"
-    )
+            return None
+
+    # First shift: theta - rho from Lanczos on -P, which needs no
+    # factorization. If P - sigma I does not factor there, Gershgorin's bound
+    # lies below every eigenvalue.
+    for state in _krylov(lambda v: -matvec(v), np.random.default_rng(0).standard_normal(P.n),
+                         PLAIN_STEPS):
+        pass
+    mu, x, rho, _ = _ritz(*state)
+    sigma = -mu - rho
+    hi = np.inf  # P - shift I is known not to factor for shift >= hi
+    F = factor(sigma)
+    if F is None:
+        hi = sigma
+        radius = np.abs(rows).sum(axis=1) - np.abs(band[:, 0])
+        sigma = float(np.min(band[:, 0] - radius)) - eps
+        F = factor(sigma)
+    while F is not None and count < EIGEN_FACTORIZATIONS:
+        # Shift-invert Lanczos from the best vector so far. theta, the
+        # Rayleigh quotient of its Ritz vector, is >= lambda_min; it has
+        # converged once its residual r puts it within eps/10 of an
+        # eigenvalue (Kato-Temple, the next Ritz value giving the gap).
+        converged = False
+        for alpha, beta, basis in _krylov(F.solve, x, LANCZOS_STEPS):
+            mu, x, rho, mu_next = _ritz(alpha, beta, basis)
+            Px = matvec(x)
+            theta = float(x @ Px)
+            r = float(np.linalg.norm(Px - theta * x))
+            gap = sigma + 1.0 / mu_next - theta if mu_next > 0 else 0.0
+            converged = rho <= 1e-14 * mu or r <= 0.1 * eps or r * r <= 0.1 * eps * gap
+            if converged:
+                break
+        if converged:
+            if factor(theta - eps) is not None:
+                return theta, count
+            hi = min(hi, theta - eps)
+        # Move the shift up: lambda_min >= sigma + 1/(mu + rho) when mu
+        # approximates the largest eigenvalue of the inverse.
+        below = sigma + 1.0 / (mu + rho)
+        shift = below if sigma < below < hi else 0.5 * (sigma + min(hi, theta))
+        if count < EIGEN_FACTORIZATIONS:
+            G = factor(shift)
+            if G is None:
+                hi = shift
+            else:
+                F, sigma = G, shift
+    return None, count
 
 
-def min_eigenvalue(P):
+def min_eigenvalue(P, info=None):
     """Smallest eigenvalue of the symmetric matrix represented by ``P``.
 
     Off-pattern entries are zero, i.e. the eigenvalue is that of the full
     symmetric completion. Accepts a SparseSymMatrix or a dense symmetric
     array.
+
+    Dense arrays and small rings use numpy's ``eigvalsh``. On the structured
+    path (``uses_structured_path``) no n x n array is formed: Lanczos on
+    -P proposes a first shift; a shift sigma at which ``P - sigma I``
+    factors (CyclicBandCholesky) lies below lambda_min; Lanczos on the
+    inverse of that factor refines a Rayleigh quotient theta >= lambda_min;
+    and theta is returned only once
+    ``P - (theta - eps) I`` factors too, eps = EIGEN_GAP * max|P|, so that
+    lambda_min lies in [theta - eps, theta]. A certificate that fails moves
+    sigma up towards lambda_min. Past EIGEN_FACTORIZATIONS factorizations
+    the dense ``eigvalsh`` decides. Non-finite input raises
+    FactorizationError on this path.
+
+    If ``info`` is a dict, ``info["factorizations"]`` is set to the number
+    of factorizations made (0 on the dense path).
     """
-    A = P.to_dense() if isinstance(P, SparseSymMatrix) else np.asarray(P, dtype=float)
-    return float(np.linalg.eigvalsh(A)[0])
+    lam, count = None, 0
+    if isinstance(P, SparseSymMatrix) and uses_structured_path(P.n, P.pattern.half_bandwidth):
+        lam, count = _certified_min_eigenvalue(P)
+    if lam is None:
+        A = P.to_dense() if isinstance(P, SparseSymMatrix) else np.asarray(P, dtype=float)
+        lam = float(np.linalg.eigvalsh(A)[0])
+    if info is not None:
+        info["factorizations"] = count
+    return lam

@@ -3,12 +3,11 @@ dense-path oracles of the sparse filters."""
 
 import numpy as np
 
-from sparsekf.filters import CycleDiagnostics, FilterState, _gamma_repair, ukf_weights
+from sparsekf.filters import GAMMA_MARGIN, CycleDiagnostics, FilterState, ukf_weights
 from sparsekf.models import ComponentModel, lorenz96_rhs
 from sparsekf.sparse_core import (
     SparseSymMatrix,
     SparseVector,
-    incomplete_cholesky,
     restricted_outer_accumulate,
 )
 
@@ -75,7 +74,38 @@ def dense_kf_cycle(x, P, A, H, Q, R, y):
 # ---------------------------------------------------------------------------
 # Dense-path oracles of the sparse filters: every sigma point and probe is a
 # full n-vector stepped with the full model, and every covariance is formed
-# from (2n+1) x n deviation matrices or n x n dense matrices.
+# from (2n+1) x n deviation matrices or n x n dense matrices. The factor and
+# the gamma repair call numpy directly, not the package's kernels.
+
+
+def dense_pattern_factor(P, scale):
+    """Dense ``np.linalg.cholesky`` of ``scale * P`` with the jitter schedule
+    0, 1e-10, 2e-10, ... (at most 20 retries), zeroed off the pattern."""
+    n = P.n
+    A = P.to_dense()
+    A *= scale
+    jitter = 0.0
+    for _ in range(21):
+        try:
+            L = np.linalg.cholesky(A if jitter == 0.0 else A + jitter * np.eye(n))
+            break
+        except np.linalg.LinAlgError:
+            jitter = 1e-10 if jitter == 0.0 else 2.0 * jitter
+    else:
+        raise AssertionError("dense oracle factorization failed")
+    i = np.arange(n)
+    dist = np.abs(i[:, None] - i[None, :])
+    inside = np.minimum(dist, n - dist) <= P.pattern.half_bandwidth
+    return np.where(inside, L, 0.0), jitter
+
+
+def dense_gamma_repair(E):
+    """The gamma repair through numpy's dense eigvalsh."""
+    lam = float(np.linalg.eigvalsh(E.to_dense())[0])
+    if lam < 0.0:
+        gamma = -lam + GAMMA_MARGIN
+        return E.add_scaled_identity(gamma), gamma
+    return E, 0.0
 
 
 def dense_path_sparse_ukf_cycle(state, y_obs, model, obs_op, params):
@@ -85,8 +115,7 @@ def dense_path_sparse_ukf_cycle(state, y_obs, model, obs_op, params):
     w = ukf_weights(n, params.kappa)
     evals0 = model.evaluation_count
 
-    factor, jitter = incomplete_cholesky(state.Pa, n + params.kappa)
-    D = factor.to_dense()
+    D, jitter = dense_pattern_factor(state.Pa, n + params.kappa)
     xb0 = model.step(state.xa)
     sigma = np.concatenate([state.xa + D.T, state.xa - D.T])  # (2n, n)
     out_idx = np.concatenate([pattern.columns, pattern.columns])
@@ -108,7 +137,7 @@ def dense_path_sparse_ukf_cycle(state, y_obs, model, obs_op, params):
 
     evals = model.evaluation_count - evals0
     if y_obs is None:
-        Pa, gamma = _gamma_repair(Pb)
+        Pa, gamma = dense_gamma_repair(Pb)
         return FilterState(xb_mean, Pa, CycleDiagnostics(gamma, jitter, evals, 0.0))
 
     y_obs = np.asarray(y_obs, dtype=float)
@@ -116,7 +145,7 @@ def dense_path_sparse_ukf_cycle(state, y_obs, model, obs_op, params):
     innov = y_obs - yb_mean
     xa = xb_mean + K @ innov
     E = Pb - SparseSymMatrix.from_dense(K @ Pxy.T, pattern)
-    Pa, gamma = _gamma_repair(E)
+    Pa, gamma = dense_gamma_repair(E)
     return FilterState(xa, Pa, CycleDiagnostics(gamma, jitter, evals,
                                                 float(np.linalg.norm(innov))))
 
@@ -150,7 +179,7 @@ def dense_path_progressive_ekf_cycle(state, y_obs, model, obs_op, params):
     yb = obs_op.observe(xb)
     evals = model.evaluation_count - evals0
     if y_obs is None:
-        Pa, gamma = _gamma_repair(P)
+        Pa, gamma = dense_gamma_repair(P)
         return FilterState(xb, Pa, CycleDiagnostics(gamma, 0.0, evals, 0.0))
 
     y_obs = np.asarray(y_obs, dtype=float)
@@ -161,7 +190,7 @@ def dense_path_progressive_ekf_cycle(state, y_obs, model, obs_op, params):
     innov = y_obs - yb
     xa = xb + K @ innov
     E = P - SparseSymMatrix.from_dense(K @ PHt.T, pattern)
-    Pa, gamma = _gamma_repair(E)
+    Pa, gamma = dense_gamma_repair(E)
     return FilterState(xa, Pa, CycleDiagnostics(gamma, 0.0, evals,
                                                 float(np.linalg.norm(innov))))
 

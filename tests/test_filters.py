@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import sparsekf.filters as filters
 import sparsekf.harness as harness
 from helpers import (
     LinearModel,
+    dense_gamma_repair,
     dense_kf_cycle,
     dense_path_progressive_ekf_cycle,
     dense_path_sparse_ukf_cycle,
@@ -19,7 +21,6 @@ from sparsekf.filters import (
     FilterState,
     ProgressiveParams,
     UkfParams,
-    _dense_cholesky_with_jitter,
     dense_ukf_cycle,
     enkf_cycle,
     gaspari_cohn,
@@ -29,8 +30,10 @@ from sparsekf.filters import (
 )
 from sparsekf.models import Lorenz96Model, ObservationOperator, step_columns
 from sparsekf.sparse_core import (
+    FactorizationError,
     SparseSymMatrix,
     SparsityPattern,
+    cholesky_with_jitter,
     incomplete_cholesky,
     min_eigenvalue,
 )
@@ -69,12 +72,12 @@ class TestWeights:
 class TestSigmaOffsets:
     def test_identity_covariance_offsets(self):
         # sqrt((n + kappa) I) with n=2, kappa=0 gives +-sqrt(2) e_i offsets
-        L, jitter = _dense_cholesky_with_jitter(2.0 * np.eye(2))
+        L, jitter = cholesky_with_jitter(2.0 * np.eye(2))
         assert jitter == 0.0
         assert np.allclose(L, math.sqrt(2.0) * np.eye(2))
 
     def test_jitter_retry(self):
-        L, jitter = _dense_cholesky_with_jitter(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        L, jitter = cholesky_with_jitter(np.array([[1.0, 1.0], [1.0, 1.0]]))
         assert jitter > 0.0
         assert np.isfinite(L).all()
 
@@ -273,6 +276,27 @@ class TestGammaRepair:
                 assert 0.9e-8 <= lam <= 1.2e-8
         assert hit, "gamma repair never activated in 40 cycles"
 
+    def test_certified_cycle_makes_one_factorization(self):
+        # n = 640 takes the structured path: the first analysis is positive
+        # definite, so one factorization certifies it and no eigenvalue is needed
+        model, obs_op, pattern, state, R, x0, rng = lorenz_setup(n=640, seed=35)
+        y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+        out = sparse_ukf_cycle(state, y, model, obs_op, UkfParams(pattern=pattern, R=R))
+        assert out.diagnostics.gamma == 0.0
+        assert out.diagnostics.repair_factorizations == 1
+
+    def test_certificate_rejects_non_finite_covariance(self):
+        E = SparseSymMatrix.identity(SparsityPattern(256, 3))
+        E.band[9, 3] = np.nan
+        with pytest.raises(FactorizationError):
+            filters._gamma_repair(E)
+
+    def test_dense_path_repair_makes_no_factorization(self):
+        model, obs_op, pattern, state, R, x0, rng = lorenz_setup(seed=36)
+        y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+        out = progressive_ekf_cycle(state, y, model, obs_op, ProgressiveParams(pattern, R))
+        assert out.diagnostics.repair_factorizations == 0
+
     def test_covariance_symmetric_after_cycles(self):
         model, obs_op, pattern, state, R, x0, rng = lorenz_setup(seed=31)
         params = ProgressiveParams(pattern=pattern, R=R)
@@ -442,3 +466,41 @@ class TestDensePathOracle:
         assert not new.failed and not old.failed
         assert abs(new.rmse - old.rmse) <= 1e-10
         assert new.eval_per_cycle == old.eval_per_cycle
+
+
+@pytest.fixture(scope="module")
+def recorded_repairs():
+    """Every covariance the gamma repair received in 20-cycle n = 640 runs of
+    both sparse filters (the structured path), with the repair's output."""
+    recorded = []
+    real = filters._gamma_repair
+
+    def record(E):
+        out = real(E)
+        recorded.append((E, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filters, "_gamma_repair", record)
+        for name in ("sparse_ukf", "progressive_ekf"):
+            config = harness.ExperimentConfig(filter=name, n=640, nsp=7, n_steps=20,
+                                              n_replicates=1, master_seed=64)
+            assert not harness.run_replicate(config.validate(), 0).failed
+    return recorded
+
+
+class TestRepairOnRecordedCovariances:
+    def test_min_eigenvalue_matches_eigvalsh(self, recorded_repairs):
+        for E, _ in recorded_repairs:
+            expected = np.linalg.eigvalsh(E.to_dense())[0]
+            assert abs(min_eigenvalue(E) - expected) <= 1e-12 * np.abs(E.band).max()
+
+    def test_gamma_matches_dense_repair(self, recorded_repairs):
+        repairs = 0
+        for E, (Pa, gamma, factorizations) in recorded_repairs:
+            _, dense_gamma = dense_gamma_repair(E)
+            assert abs(gamma - dense_gamma) <= 1e-12
+            assert factorizations == 1 if gamma == 0.0 else factorizations > 1
+            assert np.linalg.eigvalsh(Pa.to_dense())[0] >= 0.0
+            repairs += gamma > 0.0
+        assert 0 < repairs < len(recorded_repairs)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import sparsekf.harness as harness
 from sparsekf.cli import main, parse_config_file
 from sparsekf.harness import (
     RUNS_CSV_HEADER,
@@ -162,6 +163,23 @@ class TestRunReplicate:
         r = run_replicate(cfg, 0)
         assert not r.failed and math.isfinite(r.rmse)
 
+    def test_non_finite_covariance_fails_at_its_cycle(self, monkeypatch):
+        real = harness.sparse_ukf_cycle
+        cycles = []
+
+        def poisoned(state, y, model, obs_op, params):
+            out = real(state, y, model, obs_op, params)
+            cycles.append(out)
+            if len(cycles) == 3:
+                out.Pa.band[4, 1] = np.nan  # the analysis state stays finite
+            return out
+
+        monkeypatch.setattr(harness, "sparse_ukf_cycle", poisoned)
+        r = run_replicate(tiny_config(n_steps=10), 0)
+        assert np.isfinite(cycles[2].xa).all()
+        assert r.failed and math.isnan(r.rmse)
+        assert r.error == "FloatingPointError at cycle 3: non-finite analysis covariance"
+
 
 class TestRunExperiment:
     def test_parallel_matches_serial(self):
@@ -263,6 +281,18 @@ class TestCsv:
         assert rows[0]["param"] == "Nsp=5"
         # 6 significant digits
         assert len(rows[0]["rmse"].replace(".", "").replace("-", "").lstrip("0")) <= 6
+
+    def test_runs_csv_writes_jitter_activations(self, tmp_path):
+        cfg = tiny_config(n_replicates=2)
+        s = aggregate_results(cfg, [ReplicateResult(0, 0.5, 600.0, 3, 4),
+                                    ReplicateResult(1, 0.6, 600.0, 0, 0)])
+        path = tmp_path / "runs.csv"
+        write_runs_csv(s, path)
+        with open(path) as f:
+            rows = list(csv.DictReader(f))
+        assert RUNS_CSV_HEADER.endswith(",gamma_activations,jitter_activations")
+        assert [(r["gamma_activations"], r["jitter_activations"]) for r in rows] == \
+            [("3", "4"), ("0", "0")]
 
     def test_summary_csv(self, tmp_path):
         cfg = tiny_config(n_replicates=3)

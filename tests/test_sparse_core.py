@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from sparsekf.sparse_core import (
+    CyclicBandCholesky,
     FactorizationError,
     SparseColumns,
     SparseSymMatrix,
     SparseVector,
     SparsityPattern,
+    cholesky_with_jitter,
     incomplete_cholesky,
     local_outer_sum,
     local_sum_band,
@@ -17,6 +19,7 @@ from sparsekf.sparse_core import (
     min_eigenvalue,
     restricted_outer_accumulate,
     restricted_product,
+    uses_structured_path,
 )
 
 
@@ -420,6 +423,149 @@ class TestMinEigenvalue:
         for gamma in (0.5, 3.0, 17.0):
             shifted = min_eigenvalue(M.add_scaled_identity(gamma))
             assert abs(shifted - (min_eigenvalue(M) + gamma)) <= 1e-9 * (1 + gamma)
+
+
+def random_band_spd(rng, n, h, floor=0.05):
+    """Random cyclic-band matrix shifted to smallest eigenvalue ``floor``."""
+    p = SparsityPattern(n, h)
+    M = SparseSymMatrix(p, rng.normal(size=(n, h + 1)))
+    return M.add_scaled_identity(floor - np.linalg.eigvalsh(M.to_dense())[0])
+
+
+# (n, h) on the structured side: n a multiple of the 32-row block and not,
+# h below the block size and equal to it
+STRUCTURED = [(256, 3), (300, 3), (641, 3), (256, 32), (333, 32)]
+
+
+class TestPathSelection:
+    def test_small_and_wide_bands_stay_dense(self):
+        assert not uses_structured_path(40, 3)  # desk
+        assert not uses_structured_path(160, 20)  # wide band
+        assert uses_structured_path(640, 3)  # high dimension
+
+    @pytest.mark.parametrize("n,h", STRUCTURED)
+    def test_gate_cases_are_structured(self, n, h):
+        assert uses_structured_path(n, h)
+
+
+class TestCyclicBandCholesky:
+    @pytest.mark.parametrize("n,h", STRUCTURED)
+    def test_matches_dense_cholesky(self, n, h):
+        rng = np.random.default_rng(n + h)
+        P = random_band_spd(rng, n, h)
+        A = P.to_dense()
+        L = CyclicBandCholesky(P)
+        assert np.abs(L.to_dense() - np.linalg.cholesky(A)).max() <= 1e-12 * np.abs(A).max()
+
+    @pytest.mark.parametrize("n,h", STRUCTURED)
+    def test_scale_and_shift(self, n, h):
+        rng = np.random.default_rng(2 * n + h)
+        P = random_band_spd(rng, n, h)
+        A = 3.0 * P.to_dense() + 0.5 * np.eye(n)
+        L = CyclicBandCholesky(P, scale=3.0, shift=0.5)
+        assert np.abs(L.to_dense() - np.linalg.cholesky(A)).max() <= 1e-12 * np.abs(A).max()
+
+    @pytest.mark.parametrize("n,h", STRUCTURED)
+    def test_solve(self, n, h):
+        rng = np.random.default_rng(3 * n + h)
+        P = random_band_spd(rng, n, h)
+        v = rng.normal(size=n)
+        x = CyclicBandCholesky(P).solve(v)
+        assert np.abs(x - np.linalg.solve(P.to_dense(), v)).max() <= 1e-10
+
+    @pytest.mark.parametrize("n,h", STRUCTURED)
+    def test_failure_certifies_not_positive_definite(self, n, h):
+        rng = np.random.default_rng(4 * n + h)
+        P = random_band_spd(rng, n, h, floor=0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            CyclicBandCholesky(P, shift=-1e-6)  # smallest eigenvalue -1e-6
+        CyclicBandCholesky(P, shift=1e-6)
+
+    def test_non_finite_input_raises(self):
+        P = SparseSymMatrix.identity(SparsityPattern(256, 3))
+        P.band[100, 2] = np.nan
+        with pytest.raises(FactorizationError):
+            CyclicBandCholesky(P)
+
+
+class TestIncompleteCholeskyPaths:
+    """The structured path restricts the exact factor to the pattern, as the
+    dense path does; only rounding differs."""
+
+    @pytest.mark.parametrize("n,h", STRUCTURED)
+    def test_structured_path_matches_dense_restriction(self, n, h):
+        rng = np.random.default_rng(5 * n + h)
+        P = random_band_spd(rng, n, h)
+        L, jitter = incomplete_cholesky(P, 7.0)
+        assert jitter == 0.0
+        A = 7.0 * P.to_dense()
+        expected = np.where(dense_mask(P.pattern), np.linalg.cholesky(A), 0.0)
+        assert np.abs(L.to_dense() - expected).max() <= 1e-12 * np.abs(A).max()
+
+    def test_structured_path_keeps_the_jitter_schedule(self):
+        # cyclic second difference: singular, so jitter 0 fails and 1e-10 factors
+        n = 256
+        band = np.zeros((n, 2))
+        band[:, 0], band[:, 1] = 2.0, -1.0
+        P = SparseSymMatrix(SparsityPattern(n, 1), band)
+        L, jitter = incomplete_cholesky(P.add_scaled_identity(-1e-12), 1.0)
+        assert jitter == 1e-10
+        A = P.to_dense() + (1e-10 - 1e-12) * np.eye(n)
+        expected = np.where(dense_mask(P.pattern), np.linalg.cholesky(A), 0.0)
+        assert np.abs(L.to_dense() - expected).max() <= 1e-6
+
+    @pytest.mark.parametrize("n,h", [(40, 3), (256, 3)])
+    def test_non_finite_input_raises(self, n, h):
+        P = SparseSymMatrix.identity(SparsityPattern(n, h))
+        P.band[5, 1] = np.inf
+        with pytest.raises(FactorizationError):
+            incomplete_cholesky(P, 1.0)
+
+    def test_jitter_helper_rejects_non_finite_input(self):
+        with pytest.raises(FactorizationError):
+            cholesky_with_jitter(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+class TestCertifiedMinEigenvalue:
+    """The structured path against numpy's eigvalsh, to 1e-12 of max|P|."""
+
+    def check(self, P):
+        info = {}
+        lam = min_eigenvalue(P, info)
+        expected = np.linalg.eigvalsh(P.to_dense())[0]
+        assert abs(lam - expected) <= 1e-12 * np.abs(P.band).max()
+        assert 0 < info["factorizations"]
+        return lam
+
+    @pytest.mark.parametrize("n,h", STRUCTURED)
+    def test_positive_definite(self, n, h):
+        self.check(random_band_spd(np.random.default_rng(6 * n + h), n, h))
+
+    @pytest.mark.parametrize("n,h", STRUCTURED)
+    def test_indefinite(self, n, h):
+        rng = np.random.default_rng(7 * n + h)
+        assert self.check(SparseSymMatrix(SparsityPattern(n, h),
+                                          rng.normal(size=(n, h + 1)))) < 0.0
+
+    @pytest.mark.parametrize("n", [257, 641])
+    def test_repeated_smallest_eigenvalue(self, n):
+        # a symmetric circulant of odd n: its eigenvalues 1 + 0.8 cos(2 pi k / n)
+        # pair up (k, n - k), so the smallest one is double, with gap 0
+        band = np.zeros((n, 2))
+        band[:, 0], band[:, 1] = 1.0, 0.4
+        lam = self.check(SparseSymMatrix(SparsityPattern(n, 1), band))
+        assert abs(lam - (1.0 + 0.8 * np.cos(np.pi * (n - 1) / n))) <= 1e-12
+
+    def test_dense_path_makes_no_factorization(self):
+        info = {}
+        min_eigenvalue(SparseSymMatrix.identity(SparsityPattern(40, 3)), info)
+        assert info["factorizations"] == 0
+
+    def test_non_finite_input_raises(self):
+        P = SparseSymMatrix.identity(SparsityPattern(256, 3))
+        P.band[7, 0] = np.nan
+        with pytest.raises(FactorizationError):
+            min_eigenvalue(P)
 
 
 class TestRestrictedProduct:
