@@ -68,20 +68,6 @@ class ComponentModel:
 
     # -- derived operations --
 
-    def refined_step(self, x, s, n_p):
-        """Advance ``s`` of ``n_p`` equal sub-steps of one full step."""
-        n_p = int(n_p)
-        s = int(s)
-        if n_p < 1:
-            raise ValueError("n_p must be >= 1")
-        if not 0 <= s <= n_p:
-            raise ValueError(f"s must be in [0, {n_p}], got {s}")
-        sub = self.dt / n_p
-        x = np.asarray(x, dtype=float)
-        for _ in range(s):
-            x = self.step(x, dt=sub)
-        return x
-
     def step_many(self, X, dt=None):
         X = np.asarray(X, dtype=float)
         return np.stack([self.step(x, dt=dt) for x in X])

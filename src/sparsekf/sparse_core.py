@@ -13,11 +13,16 @@ Contents:
   - local_outer_sum, local_sum_band / local_sum_columns: sums of outer
     products of column-local vectors, read back on the pattern or by column
   - cholesky_with_jitter: the jitter retry schedule shared by every factor
-  - CyclicBandCholesky: exact O(n b^2) factor of a cyclic band, with solves;
-    uses_structured_path decides from (n, h) when it replaces the dense one
+  - CyclicBandCholesky: exact O(n b^2) factor of a cyclic band, with solves
+    and the selected inverse (the blocks of its inverse on the factor's
+    pattern); uses_structured_path decides from (n, h) when it replaces the
+    dense one
   - incomplete_cholesky: pattern-restricted factorization with jitter retries
   - min_eigenvalue: smallest eigenvalue of the represented symmetric matrix,
     certified by shifted factorizations on the structured path
+  - GainLayout / gain_layout / band_gain: the Kalman gain's band
+    C M^-1 C^T and C M^-1 v for a band observed at a regular stride, from a
+    band factor of M and its selected inverse, with no m x m or n x m array
 """
 
 from __future__ import annotations
@@ -541,6 +546,22 @@ def _band_index(n, h, i, j):
     return np.where(d <= h, i * (h + 1) + d, np.where(e <= h, j * (h + 1) + e, n * (h + 1)))
 
 
+def _block_entry(n, b, row, col):
+    """Flat index of entry (row, col), row >= col, in the concatenation of
+    the ``diag``, ``sub`` and ``last`` arrays of a block factor (or of its
+    selected inverse) with blocks of b rows; -1 where the entry lies in none
+    of them (two blocks apart, neither in the last block row)."""
+    N = n // b
+    top = (N - 1) * b
+    block_r, block_c = np.minimum(row // b, N - 1), np.minimum(col // b, N - 1)
+    n_diag, n_sub = (N - 1) * b * b, (N - 2) * b * b
+    inside = (row % b) * b + col % b
+    return np.where(
+        block_r == N - 1, n_diag + n_sub + (row - top) * n + col,
+        np.where(block_r == block_c, block_c * b * b + inside,
+                 np.where(block_r == block_c + 1, n_diag + block_c * b * b + inside, -1)))
+
+
 @lru_cache(maxsize=16)
 def _block_layout(n, h, b):
     """Gather indices of the cyclic block-tridiagonal partition into blocks
@@ -562,17 +583,10 @@ def _block_layout(n, h, b):
     sub = _band_index(n, h, (k[:-1] + 1) * b + r, k[:-1] * b + c)
     last = _band_index(n, h, np.arange(top, n)[:, None], np.arange(n)[None, :])
 
-    pattern = SparsityPattern(n, h)
-    row = pattern.columns
+    row = SparsityPattern(n, h).columns
     col = np.broadcast_to(np.arange(n)[:, None], row.shape)
-    block_r, block_c = np.minimum(row // b, N - 1), np.minimum(col // b, N - 1)
-    n_diag, n_sub = (N - 1) * b * b, (N - 2) * b * b
-    zero = n_diag + n_sub + (n - top) * n
-    restrict = np.where(
-        block_r == N - 1, n_diag + n_sub + (row - top) * n + col,
-        np.where(block_r == block_c, block_c * b * b + (row % b) * b + col % b,
-                 n_diag + block_c * b * b + (row % b) * b + col % b))
-    restrict = np.where(row >= col, restrict, zero)
+    zero = (N - 1) * b * b + (N - 2) * b * b + (n - top) * n
+    restrict = np.where(row >= col, _block_entry(n, b, row, col), zero)
     return tuple(_read_only(a) for a in (diag, sub, last, restrict))
 
 
@@ -700,6 +714,42 @@ class CyclicBandCholesky:
         for k in range(N - 3, -1, -1):
             X[k] -= backward[k] @ X[k + 1]
         return np.concatenate([X.ravel(), x_last])
+
+    def selected_inverse(self):
+        """Blocks of ``Z = (L L^T)^-1`` on the pattern of ``L + L^T``, as
+        ``(diag, sub, last)`` arrays shaped like the factor's: the diagonal
+        blocks, the blocks Z[k+1, k] below them and the last block row.
+
+        Takahashi's recurrences, run from the last block backwards: ``L^T Z
+        = L^-1`` is lower triangular with diagonal blocks L[k,k]^-1, so for
+        a block row k < N-1 and j >= k
+        ``Z[k, j] = L[k,k]^-T (delta_kj L[k,k]^-1 - L[k+1,k]^T Z[k+1, j]
+        - L[N-1,k]^T Z[N-1, j])``. They need only the blocks they return:
+        O(n b^2) work, no n x n array. Diagonal blocks are exact in their
+        lower triangles; read Z[i, j], i >= j, from there.
+        """
+        b, N, top = self.b, self._blocks, self._top
+        inv, _, _, inv_last = self._recurrences
+        border = self.last[:, :top].T.reshape(N - 1, b, -1)  # L[N-1, k]^T
+        last = np.empty_like(self.last)
+        last[:, top:] = inv_last.T @ inv_last
+        corner = border @ last[:, top:]  # L[N-1, k]^T Z[N-1, N-1]
+        col = np.empty((N - 1, b, self.n - top))  # Z[k, N-1]
+        col[N - 2] = -inv[N - 2].T @ corner[N - 2]
+        for k in range(N - 3, -1, -1):
+            col[k] = -inv[k].T @ (self.sub[k].T @ col[k + 1] + corner[k])
+        last[:, :top] = col.reshape(top, -1).T
+        # L[N-1, k]^T Z[N-1, k] and L[N-1, k]^T Z[N-1, k+1]
+        row = np.swapaxes(col, 1, 2)
+        same, next_ = border @ row, border[:-1] @ row[1:]
+        diag = np.empty_like(self.diag)
+        sub = np.empty_like(self.sub)
+        diag[N - 2] = inv[N - 2].T @ (inv[N - 2] - same[N - 2])
+        for k in range(N - 3, -1, -1):
+            upper = -inv[k].T @ (self.sub[k].T @ diag[k + 1] + next_[k])  # Z[k, k+1]
+            sub[k] = upper.T
+            diag[k] = inv[k].T @ (inv[k] - self.sub[k].T @ sub[k] - same[k])
+        return diag, sub, last
 
 
 def incomplete_cholesky(P, scale=1.0):
@@ -880,3 +930,132 @@ def min_eigenvalue(P, info=None):
     if info is not None:
         info["factorizations"] = count
     return lam
+
+
+# ---------------------------------------------------------------------------
+# Structured Kalman gain on a band observed at a regular stride
+
+
+class GainLayout:
+    """Cached index arrays of ``band_gain`` for one observation geometry.
+
+    A is a cyclic band of half bandwidth k on n states, given by its band
+    array (row i holds A[i, (i+e) % n], e = 0..k, as ``SparseSymMatrix.band``
+    or a ``local_outer_sum`` array). It is observed at ``first + stride *
+    alpha``, alpha < m = n / stride. ``C = A[:, observed]`` is kept as local
+    rows: row i of C at the q observed indices ``windows[i]``, a cyclic run
+    that covers every observed column within k of state i (entries past that
+    read 0). ``width`` is the largest observation-space distance between the
+    window entries of two states at most h apart, which is the reach of the
+    band of ``C M^-1 C^T`` on the pattern ``SparsityPattern(n, h)``.
+    """
+
+    def __init__(self, n, k, h, first, stride):
+        i = np.arange(n + h)  # state rows, extended past the wrap
+        start = -((first + k - i) // stride)  # ceil((i - k - first) / stride)
+        stop = (i + k - first) // stride  # last observed index within k
+        self.m, self.q = n // stride, int((stop - start).max()) + 1
+        self.width = int(max((start[d:d + n] - start[:n]).max() for d in range(h + 1))) \
+            + self.q - 1
+        self._geometry = (n, k, h, first, stride)
+        self._start, self._stop = start[:n], stop[:n]
+
+    # The index arrays are built on first use: only the structured path uses them.
+
+    @cached_property
+    def pattern(self):
+        """The pattern of the band of ``C M^-1 C^T``: ``SparsityPattern(n, h)``."""
+        n, _, h, _, _ = self._geometry
+        return SparsityPattern(n, h)
+
+    @cached_property
+    def obs_pattern(self):
+        """The pattern of M in observation space: half bandwidth ``width``."""
+        return SparsityPattern(self.m, self.width)
+
+    @cached_property
+    def windows(self):
+        """(n, q) observed indices of the local rows of C."""
+        return _read_only((self._start[:, None] + np.arange(self.q)) % self.m)
+
+    @cached_property
+    def _rows(self):
+        """Flat band index of every C[i, a], or n*(k+1) (the trailing zero)."""
+        n, k, _, first, stride = self._geometry
+        inside = self._start[:, None] + np.arange(self.q) <= self._stop[:, None]
+        return _read_only(np.where(
+            inside, _band_index(n, k, np.arange(n)[:, None], first + stride * self.windows),
+            n * (k + 1)))
+
+    @cached_property
+    def _observed(self):
+        n, k, _, first, stride = self._geometry
+        alpha = np.arange(self.m)[:, None]
+        return _read_only(_band_index(
+            n, k, first + stride * alpha,
+            first + stride * ((alpha + np.arange(self.width + 1)) % self.m)))  # (m, width+1)
+
+    def local_rows(self, band):
+        """(n, q) rows of C = A[:, observed] at ``windows``."""
+        return np.append(band.ravel(), 0.0)[self._rows]
+
+    def observed(self, band, r):
+        """``A[observed][:, observed] + diag(r)`` on ``obs_pattern``."""
+        M = np.append(band.ravel(), 0.0)[self._observed]
+        M[:, 0] += r
+        return SparseSymMatrix(self.obs_pattern, M)
+
+    @cached_property
+    def gather(self):
+        """(n, h+1, q, q) flat indices of the selected inverse of M's factor
+        (``CyclicBandCholesky.selected_inverse``, concatenated) at the pairs
+        (windows[i, a], windows[i + d, c]) of band slot (i, d)."""
+        m, h = self.m, self.pattern.half_bandwidth
+        a = self.windows[:, None, :, None]
+        c = self.windows[self.pattern.band_columns][:, :, None, :]
+        index = _block_entry(m, max(BLOCK_ROWS, self.width), np.maximum(a, c), np.minimum(a, c))
+        if (index < 0).any():
+            raise ValueError("the gain's reach exceeds the selected inverse")
+        return _read_only(index)
+
+
+def gain_layout(n, k, h, indices):
+    """The GainLayout of a band of half bandwidth k observed at ``indices``
+    with the result on the (n, h) pattern, or None unless the structured
+    gain applies: the indices are a regular stride that divides n, and
+    ``uses_structured_path(m, width)`` holds."""
+    indices = np.ascontiguousarray(indices, dtype=np.intp)
+    return _gain_layout(n, k, h, indices.tobytes())
+
+
+@lru_cache(maxsize=16)
+def _gain_layout(n, k, h, indices_key):
+    indices = np.frombuffer(indices_key, dtype=np.intp)
+    m = indices.size
+    if m < 2 or n % m:
+        return None
+    first, stride = int(indices[0]), n // m
+    if first >= stride or not np.array_equal(indices, first + stride * np.arange(m)):
+        return None
+    layout = GainLayout(n, k, h, first, stride)
+    return layout if uses_structured_path(m, layout.width) else None
+
+
+def band_gain(M, rows, layout, rhs):
+    """Band of ``C M^-1 C^T`` and ``C M^-1 v``, ``M^-1 v`` for each v in rhs.
+
+    ``M`` is the observation-space band (``layout.observed``) and ``rows``
+    the local rows of C (``layout.local_rows``). M is factored on its band
+    (CyclicBandCholesky, which raises ``np.linalg.LinAlgError`` when M is
+    not positive definite); the entries of M^-1 that the band needs all lie
+    in its selected inverse, so the band is one gather and one contraction:
+    O(n (h+1) q^2), no m x m or n x m array. Returns (SparseSymMatrix on
+    ``layout.pattern``, list of C M^-1 v, list of M^-1 v).
+    """
+    F = CyclicBandCholesky(M)
+    solved = [F.solve(v) for v in rhs]
+    Z = np.concatenate([a.ravel() for a in F.selected_inverse()])[layout.gather]
+    partner = rows[layout.pattern.band_columns]  # rows of C at (i + d) % n
+    T = np.einsum("ia,idac,idc->id", rows, Z, partner)
+    products = [np.einsum("ia,ia->i", rows, x[layout.windows]) for x in solved]
+    return SparseSymMatrix(layout.pattern, T), products, solved

@@ -146,8 +146,9 @@ def dense_path_sparse_ukf_cycle(state, y_obs, model, obs_op, params):
     xa = xb_mean + K @ innov
     E = Pb - SparseSymMatrix.from_dense(K @ Pxy.T, pattern)
     Pa, gamma = dense_gamma_repair(E)
+    nis = float(innov @ np.linalg.solve(Pyy, innov)) / innov.size
     return FilterState(xa, Pa, CycleDiagnostics(gamma, jitter, evals,
-                                                float(np.linalg.norm(innov))))
+                                                float(np.linalg.norm(innov)), nis=nis))
 
 
 def dense_path_progressive_ekf_cycle(state, y_obs, model, obs_op, params):
@@ -191,8 +192,9 @@ def dense_path_progressive_ekf_cycle(state, y_obs, model, obs_op, params):
     xa = xb + K @ innov
     E = P - SparseSymMatrix.from_dense(K @ PHt.T, pattern)
     Pa, gamma = dense_gamma_repair(E)
+    nis = float(innov @ np.linalg.solve(S, innov)) / innov.size
     return FilterState(xa, Pa, CycleDiagnostics(gamma, 0.0, evals,
-                                                float(np.linalg.norm(innov))))
+                                                float(np.linalg.norm(innov)), nis=nis))
 
 
 def ring_rk4(x, dt, forcing=8.0):

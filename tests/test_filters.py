@@ -504,3 +504,196 @@ class TestRepairOnRecordedCovariances:
             assert np.linalg.eigvalsh(Pa.to_dense())[0] >= 0.0
             repairs += gamma > 0.0
         assert 0 < repairs < len(recorded_repairs)
+
+
+def dense_solve_counter(monkeypatch):
+    """Count the calls of np.linalg.solve (the dense gain's solve)."""
+    calls = []
+    real = np.linalg.solve
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return calls
+
+
+def forbid(monkeypatch, owner, name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} called on the structured gain path")
+
+    monkeypatch.setattr(owner, name, fail)
+
+
+def filter_params(name, pattern, R, n_p=1):
+    if name == "sparse_ukf":
+        return sparse_ukf_cycle, dense_path_sparse_ukf_cycle, UkfParams(pattern=pattern, R=R)
+    return (progressive_ekf_cycle, dense_path_progressive_ekf_cycle,
+            ProgressiveParams(pattern=pattern, R=R, n_p=n_p))
+
+
+def warmed_up(name, n, nsp, seed, n_p=1, cycles=2):
+    """A state after a few analysis cycles, so that the covariance is no
+    longer the initial multiple of the identity."""
+    model, obs_op, pattern, state, R, x0, rng = lorenz_setup(n=n, nsp=nsp, seed=seed)
+    cycle, _, params = filter_params(name, pattern, R, n_p)
+    for _ in range(cycles):
+        y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+        state = cycle(state, y, model, obs_op, params)
+    return model, obs_op, pattern, state, x0, rng
+
+
+def assert_matches_oracle(new, old):
+    assert np.abs(new.xa - old.xa).max() <= 1e-12
+    assert np.abs(new.Pa.band - old.Pa.band).max() <= 1e-12
+    assert abs(new.diagnostics.nis - old.diagnostics.nis) <= 1e-12
+
+
+FILTERS = ["sparse_ukf", "progressive_ekf"]
+
+
+class TestGainPathSelection:
+    """The structured gain applies to a stride dividing n, a diagonal R and
+    an observation space large enough for the band factor; every other
+    case keeps the dense solve."""
+
+    @pytest.mark.parametrize("name,n,nsp,n_p", [
+        ("sparse_ukf", 40, 7, 1), ("progressive_ekf", 40, 11, 2),  # desk-n40
+        ("sparse_ukf", 160, 41, 1), ("progressive_ekf", 160, 41, 2),  # wideband-n160
+    ])
+    def test_bench_desk_and_wide_band_take_the_dense_gain(self, monkeypatch, name, n, nsp, n_p):
+        model, obs_op, pattern, state, x0, rng = warmed_up(name, n, nsp, 70, n_p, cycles=1)
+        cycle, oracle, params = filter_params(name, pattern, np.eye(obs_op.m), n_p)
+        forbid(monkeypatch, filters, "band_gain")
+        calls = dense_solve_counter(monkeypatch)
+        y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+        new = cycle(state, y, model, obs_op, params)
+        assert calls
+        assert_matches_oracle(new, oracle(state, y, model, obs_op, params))
+
+    @pytest.mark.parametrize("name", FILTERS)
+    def test_high_dimension_takes_the_structured_gain(self, monkeypatch, name):
+        model, obs_op, pattern, state, x0, rng = warmed_up(name, 640, 7, 71)
+        cycle, _, params = filter_params(name, pattern, np.eye(obs_op.m))
+        kernel_calls = []
+        real = filters.band_gain
+
+        def counted(*args):
+            kernel_calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(filters, "band_gain", counted)
+        forbid(monkeypatch, np.linalg, "solve")
+        forbid(monkeypatch, filters, "local_sum_columns")
+        forbid(monkeypatch, SparseSymMatrix, "dense_columns")
+        for _ in range(3):
+            y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+            state = cycle(state, y, model, obs_op, params)
+        assert len(kernel_calls) == 3
+
+    @pytest.mark.parametrize("name", FILTERS)
+    @pytest.mark.parametrize("case", ["stride 3", "irregular", "non-diagonal R",
+                                      "M not positive definite"])
+    def test_fallbacks_take_the_dense_gain(self, monkeypatch, name, case):
+        model, obs_op, pattern, state, x0, rng = warmed_up(name, 640, 7, 72)
+        if case == "stride 3":  # 640 % 3 != 0
+            obs_op = ObservationOperator(640, np.arange(0, 640, 3))
+        elif case == "irregular":
+            indices = np.arange(0, 640, 2)
+            indices[5] += 1
+            obs_op = ObservationOperator(640, indices)
+        R = np.eye(obs_op.m)
+        if case == "non-diagonal R":
+            R += 0.1 * (np.eye(obs_op.m, k=1) + np.eye(obs_op.m, k=-1))
+        elif case == "M not positive definite":
+            R = -10.0 * R
+        cycle, oracle, params = filter_params(name, pattern, R)
+        calls = dense_solve_counter(monkeypatch)
+        y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+        new = cycle(state, y, model, obs_op, params)
+        assert calls
+        assert_matches_oracle(new, oracle(state, y, model, obs_op, params))
+
+
+class TestStructuredGain:
+    @pytest.mark.parametrize("name", FILTERS)
+    def test_cycles_match_the_dense_path_oracle(self, name):
+        # the oracle forms Pxy/Pyy (PHt/S) densely and solves for the gain
+        model, obs_op, pattern, state, R, x0, rng = lorenz_setup(n=640, nsp=7, seed=73)
+        cycle, oracle, params = filter_params(name, pattern, R)
+        for _ in range(5):
+            y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+            new = cycle(state, y, model, obs_op, params)
+            assert_matches_oracle(new, oracle(state, y, model, obs_op, params))
+            state = new
+
+    def test_sherman_morrison_breakdown_takes_the_dense_gain(self, monkeypatch):
+        # A negative center weight (kappa < 0) lets Pyy = M - u u^T be
+        # indefinite: here 1 - u^T M^-1 u is about -0.16, and the dense
+        # solve decides.
+        model, obs_op, pattern, state, R, x0, rng = lorenz_setup(n=640, nsp=7, p0=500.0,
+                                                                 seed=74)
+        params = UkfParams(pattern=pattern, R=R, kappa=-639.5)
+        recorded = []
+        real = filters.band_gain
+
+        def record(M, rows, layout, rhs):
+            out = real(M, rows, layout, rhs)
+            recorded.append(float(rhs[1] @ out[2][1]))  # u^T M^-1 u
+            return out
+
+        monkeypatch.setattr(filters, "band_gain", record)
+        calls = dense_solve_counter(monkeypatch)
+        y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+        new = sparse_ukf_cycle(state, y, model, obs_op, params)
+        assert len(recorded) == 1 and recorded[0] > 1.0
+        assert calls
+        # P = 500 I makes both paths round at a larger scale: relative bounds
+        old = dense_path_sparse_ukf_cycle(state, y, model, obs_op, params)
+        assert np.abs(new.xa - old.xa).max() <= 1e-10 * np.abs(old.xa).max()
+        assert np.abs(new.Pa.band - old.Pa.band).max() <= 1e-10 * np.abs(old.Pa.band).max()
+
+
+class TestNormalizedInnovation:
+    """nis = innov @ solve(Pyy, innov) / m, as the dense-path oracle computes it."""
+
+    @pytest.mark.parametrize("name", FILTERS)
+    @pytest.mark.parametrize("n", [40, 640])  # dense and structured gain
+    def test_matches_dense_solve(self, name, n):
+        model, obs_op, pattern, state, x0, rng = warmed_up(name, n, 7, 75)
+        cycle, oracle, params = filter_params(name, pattern, np.eye(obs_op.m))
+        y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+        new = cycle(state, y, model, obs_op, params).diagnostics.nis
+        old = oracle(state, y, model, obs_op, params).diagnostics.nis
+        assert new > 0.0
+        assert abs(new - old) <= 1e-12
+
+    @pytest.mark.parametrize("name", FILTERS)
+    @pytest.mark.parametrize("noise", ["zero", "non-diagonal"])
+    def test_dense_gain_with_singular_or_full_noise(self, name, noise):
+        # R = 0 or a full R: innov joins the dense solve as one more
+        # right-hand side (R^-1 is not applied)
+        model, obs_op, pattern, state, x0, rng = warmed_up(name, 40, 7, 77)
+        R = np.zeros((obs_op.m, obs_op.m))
+        if noise == "non-diagonal":
+            R = np.eye(obs_op.m) + 0.2 * (np.eye(obs_op.m, k=1) + np.eye(obs_op.m, k=-1))
+        cycle, oracle, params = filter_params(name, pattern, R)
+        y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+        new = cycle(state, y, model, obs_op, params).diagnostics.nis
+        old = oracle(state, y, model, obs_op, params).diagnostics.nis
+        assert abs(new - old) <= 1e-12 * max(1.0, abs(old))
+
+    @pytest.mark.parametrize("name", FILTERS)
+    @pytest.mark.parametrize("n", [40, 640])
+    def test_zero_for_a_forecast_only_cycle(self, name, n):
+        model, obs_op, pattern, state, x0, rng = warmed_up(name, n, 7, 76, cycles=1)
+        cycle, _, params = filter_params(name, pattern, np.eye(obs_op.m))
+        assert cycle(state, None, model, obs_op, params).diagnostics.nis == 0.0
+
+    def test_dense_ukf_matches_scalar_kf(self):
+        a, r, p, x, y = 0.97, 1.3, 0.2, 1.0, 0.4
+        state = FilterState(np.array([x]), np.array([[p]]))
+        out = dense_ukf_cycle(state, [y], LinearModel([[a]]), ObservationOperator(1, [0]),
+                              DenseUkfParams(R=np.array([[r]])))
+        assert abs(out.diagnostics.nis - (y - a * x) ** 2 / (a * a * p + r)) <= 1e-12

@@ -266,39 +266,6 @@ class TestDependencyStencil:
                 assert changed == base
 
 
-class TestRefinedStep:
-    def test_single_substep_is_full_step(self):
-        model = Lorenz96Model()
-        x = attractor_state(seed=9)
-        assert np.array_equal(model.refined_step(x, 1, 1), model.step(x))
-
-    def test_zero_substeps_identity(self):
-        model = Lorenz96Model()
-        x = attractor_state(seed=10)
-        assert np.array_equal(model.refined_step(x, 0, 4), x)
-
-    def test_substep_accumulation_order(self):
-        # composed sub-steps approach the fine reference as 1/n_p^4
-        model = Lorenz96Model()
-        x = attractor_state(seed=11)
-        ref = x.copy()
-        for _ in range(400):
-            ref = rk4_step(ref, 0.025 / 400.0, 8.0)
-        errs = [
-            np.linalg.norm(model.refined_step(x, n_p, n_p) - ref) for n_p in (1, 2, 4)
-        ]
-        assert errs[1] < errs[0] / 8.0
-        assert errs[2] < errs[1] / 8.0
-
-    def test_invalid_arguments(self):
-        model = Lorenz96Model()
-        x = np.zeros(40)
-        with pytest.raises(ValueError):
-            model.refined_step(x, 1, 0)
-        with pytest.raises(ValueError):
-            model.refined_step(x, 3, 2)
-
-
 class TestEvaluationCounter:
     def test_accounting(self):
         model = Lorenz96Model()
@@ -312,7 +279,8 @@ class TestEvaluationCounter:
         assert model.evaluation_count == 43 + 200
         model.step_components_many(np.tile(x, (2, 1)), np.array([[0, 1], [2, 3]]))
         assert model.evaluation_count == 243 + 4
-        model.refined_step(x, 3, 4)
+        for _ in range(3):  # three of four sub-steps
+            x = model.step(x, dt=model.dt / 4)
         assert model.evaluation_count == 247 + 120
         model.reset_evaluation_count()
         assert model.evaluation_count == 0

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import sparsekf.filters as filters
+import sparsekf.harness as harness
 from sparsekf.sparse_core import (
     CyclicBandCholesky,
     FactorizationError,
@@ -10,7 +12,9 @@ from sparsekf.sparse_core import (
     SparseSymMatrix,
     SparseVector,
     SparsityPattern,
+    band_gain,
     cholesky_with_jitter,
+    gain_layout,
     incomplete_cholesky,
     local_outer_sum,
     local_sum_band,
@@ -486,6 +490,131 @@ class TestCyclicBandCholesky:
         P.band[100, 2] = np.nan
         with pytest.raises(FactorizationError):
             CyclicBandCholesky(P)
+
+
+class TestSelectedInverse:
+    """Every returned block of (L L^T)^-1 against the dense inverse. With
+    32-row blocks the last block has 32 (m = 256), 44, 45 and 63 = 2b - 1
+    (m = 319) rows."""
+
+    @pytest.mark.parametrize("m", [256, 300, 319, 333])
+    @pytest.mark.parametrize("w", [5, 8, 32])
+    def test_matches_dense_inverse(self, m, w):
+        rng = np.random.default_rng(6 * m + w)
+        F = CyclicBandCholesky(random_band_spd(rng, m, w))
+        L = F.to_dense()
+        Z = np.linalg.inv(L @ L.T)
+        diag, sub, last = F.selected_inverse()
+        b = diag.shape[1]
+        top = m - last.shape[0]
+        assert diag.shape == ((top // b), b, b) and sub.shape == (top // b - 1, b, b)
+        tol = 1e-12 * np.abs(Z).max()
+        for k in range(top // b):
+            assert np.abs(diag[k] - Z[k * b:(k + 1) * b, k * b:(k + 1) * b]).max() <= tol
+        for k in range(top // b - 1):
+            assert np.abs(sub[k] - Z[(k + 1) * b:(k + 2) * b, k * b:(k + 1) * b]).max() <= tol
+        assert np.abs(last - Z[top:]).max() <= tol
+
+
+def dense_gain(M, rows, layout, rhs):
+    """The outputs of band_gain through a dense C = A[:, observed] and a
+    dense solve with M."""
+    n = rows.shape[0]
+    C = np.zeros((n, layout.m))
+    np.add.at(C, (np.arange(n)[:, None], layout.windows), rows)
+    Md = M.to_dense()
+    K = np.linalg.solve(Md, C.T).T
+    band = np.einsum("ik,idk->id", K, C[layout.pattern.band_columns])  # (K C^T)[i, i + d]
+    return band, [K @ v for v in rhs], [np.linalg.solve(Md, v) for v in rhs]
+
+
+def check_gain(M, rows, layout, rhs):
+    T, products, solved = band_gain(M, rows, layout, rhs)
+    band, expected_products, expected_solved = dense_gain(M, rows, layout, rhs)
+    assert np.abs(T.band - band).max() <= 1e-12 * np.abs(band).max()
+    for got, expected in zip(products + solved, expected_products + expected_solved):
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+class TestGainLayout:
+    def test_widths_of_the_benchmark_filters(self):
+        oi = np.arange(0, 640, 2)
+        assert gain_layout(640, 6, 3, oi).width == 8  # sparse UKF: A has half bandwidth 2h
+        assert gain_layout(640, 3, 3, oi).width == 5  # progressive EKF
+
+    @pytest.mark.parametrize("n,k,h,indices", [
+        (40, 6, 3, np.arange(0, 40, 2)),  # desk: m = 20
+        (160, 40, 20, np.arange(0, 160, 2)),  # wide band: m = 80
+        (640, 6, 3, np.arange(0, 640, 3)),  # stride does not divide n
+        (640, 6, 3, np.r_[0, 3, np.arange(4, 640, 2)]),  # not a regular stride
+        (640, 6, 3, np.arange(638, -1, -2)),  # descending
+    ])
+    def test_dense_cases(self, n, k, h, indices):
+        assert gain_layout(n, k, h, indices) is None
+
+    @pytest.mark.parametrize("n,k,h,first,stride", [(640, 6, 3, 0, 2), (640, 6, 3, 1, 2),
+                                                    (768, 9, 4, 2, 3), (512, 3, 3, 0, 1)])
+    def test_local_rows_and_observed_band(self, n, k, h, first, stride):
+        rng = np.random.default_rng(n + k + first)
+        A = SparseSymMatrix(SparsityPattern(n, k), rng.normal(size=(n, k + 1)))
+        oi = first + stride * np.arange(n // stride)
+        layout = gain_layout(n, k, h, oi)
+        dense = A.to_dense()
+        rows = layout.local_rows(A.band)
+        C = np.zeros((n, oi.size))
+        np.add.at(C, (np.arange(n)[:, None], layout.windows), rows)
+        assert np.array_equal(C, dense[:, oi])
+        r = rng.uniform(0.5, 1.5, oi.size)
+        assert np.array_equal(layout.observed(A.band, r).to_dense(),
+                              dense[np.ix_(oi, oi)] + np.diag(r))
+
+
+class TestBandGain:
+    @pytest.mark.parametrize("n,k,h,first,stride", [(640, 6, 3, 0, 2), (640, 3, 3, 1, 2),
+                                                    (768, 9, 4, 2, 3), (512, 3, 3, 0, 1)])
+    def test_matches_dense_solve(self, n, k, h, first, stride):
+        rng = np.random.default_rng(2 * n + k + first)
+        oi = first + stride * np.arange(n // stride)
+        layout = gain_layout(n, k, h, oi)
+        V = rng.normal(size=(3, n, 2 * k + 1))
+        A = local_sum_band(local_outer_sum(V, 0.1, SparsityPattern(n, k)), SparsityPattern(n, k))
+        M = layout.observed(A.band, rng.uniform(0.5, 1.5, oi.size))
+        check_gain(M, layout.local_rows(A.band), layout,
+                   [rng.normal(size=oi.size), rng.normal(size=oi.size)])
+
+    def test_not_positive_definite_raises(self):
+        layout = gain_layout(640, 3, 3, np.arange(0, 640, 2))
+        A = SparseSymMatrix.identity(SparsityPattern(640, 3))
+        M = layout.observed(A.band, np.full(320, -2.0))
+        with pytest.raises(np.linalg.LinAlgError):
+            band_gain(M, layout.local_rows(A.band), layout, [np.ones(320)])
+
+    def test_recorded_runs_match_dense_solve(self, recorded_gains):
+        # M = A[oi, oi] + R and C = A[:, oi] of the sparse UKF (whose Pyy and
+        # Pxy are these less a rank-one term) and S and PHt of the
+        # progressive EKF
+        assert len(recorded_gains) == 40
+        for M, rows, layout, rhs in recorded_gains:
+            check_gain(M, rows, layout, rhs)
+
+
+@pytest.fixture(scope="module")
+def recorded_gains():
+    """Every input of band_gain in 20-cycle n = 640 runs of both sparse filters."""
+    recorded = []
+    real = filters.band_gain
+
+    def record(M, rows, layout, rhs):
+        recorded.append((M, rows, layout, rhs))
+        return real(M, rows, layout, rhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filters, "band_gain", record)
+        for name in ("sparse_ukf", "progressive_ekf"):
+            config = harness.ExperimentConfig(filter=name, n=640, nsp=7, n_steps=20,
+                                              n_replicates=1, master_seed=65)
+            assert not harness.run_replicate(config.validate(), 0).failed
+    return recorded
 
 
 class TestIncompleteCholeskyPaths:
