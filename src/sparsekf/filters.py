@@ -88,6 +88,18 @@ def ukf_weights(n, kappa=0.0):
     return w
 
 
+def _freeze_noise(params):
+    """Store a read-only copy of ``params.R`` and its diagonal ``r_diag``
+    (None if an entry off the diagonal is nonzero), which picks the gain
+    path and the nis formula."""
+    R = np.array(params.R, dtype=float)
+    R.flags.writeable = False
+    m = R.shape[0]
+    off = R.ravel()[1:].reshape(m - 1, m + 1)[:, :m]  # every off-diagonal entry
+    object.__setattr__(params, "R", R)
+    object.__setattr__(params, "r_diag", None if off.any() else R.diagonal())
+
+
 @dataclass(frozen=True)
 class UkfParams:
     """Sparse-UKF parameters: pattern, scaling factor and noise covariances."""
@@ -96,10 +108,12 @@ class UkfParams:
     R: np.ndarray
     kappa: float = 0.0
     Q: SparseSymMatrix | None = None
+    r_diag: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.Q is not None and self.Q.pattern != self.pattern:
             raise ValueError("Q must live on the filter pattern")
+        _freeze_noise(self)
 
 
 @dataclass(frozen=True)
@@ -109,6 +123,10 @@ class DenseUkfParams:
     R: np.ndarray
     kappa: float = 0.0
     Q: np.ndarray | None = None
+    r_diag: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _freeze_noise(self)
 
 
 @dataclass(frozen=True)
@@ -120,6 +138,7 @@ class ProgressiveParams:
     delta: float = 1e-4
     n_p: int = 1
     Q: SparseSymMatrix | None = None
+    r_diag: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -128,6 +147,7 @@ class ProgressiveParams:
             raise ValueError("n_p must be >= 1")
         if self.Q is not None and self.Q.pattern != self.pattern:
             raise ValueError("Q must live on the filter pattern")
+        _freeze_noise(self)
 
 
 @dataclass(frozen=True)
@@ -204,23 +224,17 @@ def _gamma_repair(E):
     return E, 0.0, factorizations
 
 
-def _diagonal(R):
-    """The diagonal of the square matrix R, or None if an entry off it is nonzero."""
-    R = np.asarray(R, dtype=float)
-    m = R.shape[0]
-    off = R.ravel()[1:].reshape(m - 1, m + 1)[:, :m]  # every off-diagonal entry
-    return None if off.any() else R.diagonal()
-
-
-def _structured_gain(band, k, pattern, obs_op, R, rhs):
+def _structured_gain(band, k, pattern, obs_op, r, rhs):
     """``band_gain`` on the cyclic band A (half bandwidth k, band array
-    ``band``) observed by ``obs_op``, with M = A[oi, oi] + R; None where the
-    dense gain applies instead: observations not a regular stride dividing
-    n, an observation space too small for ``uses_structured_path``, R not
-    diagonal, or an M that does not factor (the dense solve then decides)."""
-    layout = gain_layout(pattern.n, k, pattern.half_bandwidth, obs_op.indices)
-    r = None if layout is None else _diagonal(R)
+    ``band``) observed by ``obs_op``, with M = A[oi, oi] + diag(r); None
+    where the dense gain applies instead: observations not a regular stride
+    dividing n, an observation space too small for ``uses_structured_path``,
+    R not diagonal (r None), or an M that does not factor (the dense solve
+    then decides)."""
     if r is None:
+        return None
+    layout = gain_layout(pattern.n, k, pattern.half_bandwidth, obs_op.indices)
+    if layout is None:
         return None
     try:
         return band_gain(layout.observed(band, r), layout.local_rows(band), layout, rhs)
@@ -228,16 +242,16 @@ def _structured_gain(band, k, pattern, obs_op, R, rhs):
         return None
 
 
-def _dense_gain(Pyy, Pxy, innov, oi, R):
+def _dense_gain(Pyy, Pxy, innov, oi, r):
     """Gain K = Pxy Pyy^-1, K innov and Pyy^-1 innov from one dense solve.
 
     The observed rows of Pxy are Pyy - R, so K[oi] = I - R Pyy^-1 and
-    Pyy^-1 innov = R^-1 (innov - (K innov)[oi]). A diagonal, nonsingular R
-    needs nothing more; otherwise innov joins the solve as one more
-    right-hand side (measured at about 5 % of an n = 160 cycle on a 2-core
-    host with one BLAS thread, so it is kept off the common case).
+    Pyy^-1 innov = R^-1 (innov - (K innov)[oi]). A diagonal (``r``, the
+    params' ``r_diag``), nonsingular R needs nothing more; otherwise innov
+    joins the solve as one more right-hand side (measured at about 5 % of
+    an n = 160 cycle on a 2-core host with one BLAS thread, so it is kept
+    off the common case).
     """
-    r = _diagonal(R)
     if r is not None and r.all():
         K = np.linalg.solve(Pyy, Pxy.T).T
         Kd = K @ innov
@@ -314,7 +328,8 @@ def sparse_ukf_cycle(state, y_obs, model, obs_op, params):
     # C = A[:, oi]: Sherman-Morrison gives Pyy^-1 from M^-1 when 1 - u^T M^-1 u
     # > 0, and then band(Pxy Pyy^-1 Pxy^T) = band(C M^-1 C^T) + alpha v v^T
     # - sbar sbar^T with v = C M^-1 u - sbar, alpha = 1 / (1 - u^T M^-1 u).
-    gain = _structured_gain(D, 2 * pattern.half_bandwidth, pattern, obs_op, params.R, (innov, u))
+    gain = _structured_gain(D, 2 * pattern.half_bandwidth, pattern, obs_op, params.r_diag,
+                            (innov, u))
     if gain is not None:
         CMC, (Cd, Cu), (Md, Mu) = gain  # band(C M^-1 C^T), C M^-1 [d, u], M^-1 [d, u]
         c = float(u @ Mu)
@@ -331,7 +346,7 @@ def sparse_ukf_cycle(state, y_obs, model, obs_op, params):
 
     Pxy = local_sum_columns(D, pattern, oi) - np.outer(sbar, sbar[oi])
     Pyy = Pxy[oi] + params.R
-    K, Kd, Pyy_d = _dense_gain(Pyy, Pxy, innov, oi, params.R)
+    K, Kd, Pyy_d = _dense_gain(Pyy, Pxy, innov, oi, params.r_diag)
     xa = xb_mean + Kd
     E = Pb - restricted_product(K, Pxy.T, pattern)
     return _analysis(xa, E, jitter, evals, innov, float(innov @ Pyy_d) / oi.size)
@@ -381,14 +396,15 @@ def progressive_ekf_cycle(state, y_obs, model, obs_op, params):
     y_obs = np.asarray(y_obs, dtype=float)
     oi = obs_op.indices
     innov = y_obs - yb
-    gain = _structured_gain(P.band, pattern.half_bandwidth, pattern, obs_op, params.R, (innov,))
+    gain = _structured_gain(P.band, pattern.half_bandwidth, pattern, obs_op, params.r_diag,
+                            (innov,))
     if gain is not None:
         KHP, (Kd,), (Sd,) = gain  # band(K PHt^T), K innov and S^-1 innov
         return _analysis(xb + Kd, P - KHP, 0.0, evals, innov, float(innov @ Sd) / oi.size)
 
     PHt = P.dense_columns(oi)
     S = PHt[oi, :] + params.R
-    K, Kd, Sd = _dense_gain(S, PHt, innov, oi, params.R)
+    K, Kd, Sd = _dense_gain(S, PHt, innov, oi, params.r_diag)
     xa = xb + Kd
     E = P - restricted_product(K, PHt.T, pattern)
     return _analysis(xa, E, 0.0, evals, innov, float(innov @ Sd) / oi.size)
@@ -458,7 +474,7 @@ def dense_ukf_cycle(state, y_obs, model, obs_op, params):
     Pxy = (Xdev * w[:, None]).T @ Ydev
     Pyy = (Ydev * w[:, None]).T @ Ydev + params.R
     innov = y_obs - yb_mean
-    K, Kd, Pyy_d = _dense_gain(Pyy, Pxy, innov, obs_op.indices, params.R)
+    K, Kd, Pyy_d = _dense_gain(Pyy, Pxy, innov, obs_op.indices, params.r_diag)
     xa = xb_mean + Kd
     Pa = Pb - K @ Pxy.T
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .filters import (
 )
 from .models import Lorenz96Model, ObservationOperator
 from .sparse_core import FactorizationError, SparseSymMatrix, SparsityPattern
-
-FILTER_NAMES = ("sparse_ukf", "progressive_ekf", "enkf", "dense_ukf")
 
 WORKERS_ENV_VAR = "SPARSEKF_WORKERS"
 
@@ -71,8 +69,8 @@ class ExperimentConfig:
     def validate(self):
         if self.n < 4:
             raise ConfigError(f"n must be >= 4, got {self.n}")
-        if self.filter not in FILTER_NAMES:
-            raise ConfigError(f"unknown filter {self.filter!r}; choose from {FILTER_NAMES}")
+        if self.filter not in FILTERS:
+            raise ConfigError(f"unknown filter {self.filter!r}; choose from {tuple(FILTERS)}")
         if self.nsp % 2 == 0 or self.nsp < 1:
             raise ConfigError(f"nsp must be odd and positive, got {self.nsp}")
         if self.nsp > self.n:
@@ -231,58 +229,99 @@ def synthesize_observations(truth, config, seed):
     return times, y
 
 
-def _build_filter(config, obs_op, xa0, rng_filter):
-    """Initial filter state and a cycle(state, y_or_None) -> state closure.
+def _noise(config):
+    return config.r_scale * np.eye(config.m)
 
-    For the EnKF the "state" is a FilterState whose xa is the ensemble mean
-    and whose Pa holds the member matrix.
-    """
-    R = config.r_scale * np.eye(config.m)
-    n = config.n
 
-    if config.filter == "sparse_ukf":
-        pattern = SparsityPattern(n, config.half_bandwidth)
+class _Filter:
+    """One filter as run by ``run_replicate``: ``init(config, xa0, rng)``
+    sets the filter up and returns its initial state, and ``cycle(state,
+    y)`` returns the next state (``y`` is None on a forecast-only step).
+    ``cycle`` raises FloatingPointError when the filter's covariance, or the
+    EnKF's members, are no longer finite."""
+
+    def __init__(self, model, obs_op):
+        self.model = model
+        self.obs_op = obs_op
+
+
+def _require_finite(values, what):
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"non-finite analysis {what}")
+
+
+class SparseUkf(_Filter):
+    """The sparse UKF; ``Pa`` is a SparseSymMatrix on the config's pattern."""
+
+    def init(self, config, xa0, rng):
+        pattern = SparsityPattern(config.n, config.half_bandwidth)
         Q = SparseSymMatrix.identity(pattern, config.q) if config.q > 0 else None
-        params = UkfParams(pattern=pattern, R=R, kappa=config.kappa, Q=Q)
-        state = FilterState(xa0, SparseSymMatrix.identity(pattern, config.p0))
+        self.params = UkfParams(pattern=pattern, R=_noise(config), kappa=config.kappa, Q=Q)
+        return FilterState(xa0, SparseSymMatrix.identity(pattern, config.p0))
 
-        def cycle(state, y, model):
-            return sparse_ukf_cycle(state, y, model, obs_op, params)
+    def cycle(self, state, y):
+        state = sparse_ukf_cycle(state, y, self.model, self.obs_op, self.params)
+        _require_finite(state.Pa.band, "covariance")
+        return state
 
-    elif config.filter == "progressive_ekf":
-        pattern = SparsityPattern(n, config.half_bandwidth)
+
+class ProgressiveEkf(_Filter):
+    """The progressive EKF; ``Pa`` is a SparseSymMatrix on the config's pattern."""
+
+    def init(self, config, xa0, rng):
+        pattern = SparsityPattern(config.n, config.half_bandwidth)
         Q = SparseSymMatrix.identity(pattern, config.q) if config.q > 0 else None
-        params = ProgressiveParams(
-            pattern=pattern, R=R, delta=config.delta, n_p=config.n_p, Q=Q
-        )
-        state = FilterState(xa0, SparseSymMatrix.identity(pattern, config.p0))
+        self.params = ProgressiveParams(pattern=pattern, R=_noise(config), delta=config.delta,
+                                        n_p=config.n_p, Q=Q)
+        return FilterState(xa0, SparseSymMatrix.identity(pattern, config.p0))
 
-        def cycle(state, y, model):
-            return progressive_ekf_cycle(state, y, model, obs_op, params)
+    def cycle(self, state, y):
+        state = progressive_ekf_cycle(state, y, self.model, self.obs_op, self.params)
+        _require_finite(state.Pa.band, "covariance")
+        return state
 
-    elif config.filter == "dense_ukf":
-        Q = config.q * np.eye(n) if config.q > 0 else None
-        params = DenseUkfParams(R=R, kappa=config.kappa, Q=Q)
-        state = FilterState(xa0, config.p0 * np.eye(n))
 
-        def cycle(state, y, model):
-            return dense_ukf_cycle(state, y, model, obs_op, params)
+class DenseUkf(_Filter):
+    """The dense-covariance UKF; ``Pa`` is an n x n array."""
 
-    else:  # enkf
-        params = EnkfParams(
-            R=R,
-            n_ens=config.n_ens,
-            loc_radius=config.loc_radius,
-            inflation=config.inflation,
-        )
-        members = xa0 + math.sqrt(config.p0) * rng_filter.standard_normal((config.n_ens, n))
-        state = FilterState(members.mean(axis=0), members)
+    def init(self, config, xa0, rng):
+        Q = config.q * np.eye(config.n) if config.q > 0 else None
+        self.params = DenseUkfParams(R=_noise(config), kappa=config.kappa, Q=Q)
+        return FilterState(xa0, config.p0 * np.eye(config.n))
 
-        def cycle(state, y, model):
-            members = enkf_cycle(state.Pa, y, model, obs_op, params, rng_filter)
-            return FilterState(members.mean(axis=0), members)
+    def cycle(self, state, y):
+        state = dense_ukf_cycle(state, y, self.model, self.obs_op, self.params)
+        _require_finite(state.Pa, "covariance")
+        return state
 
-    return state, cycle
+
+@dataclass
+class EnkfState:
+    """The EnKF's members, one per row, and their mean ``xa``, the analysis."""
+
+    xa: np.ndarray
+    members: np.ndarray
+    diagnostics = None  # the EnKF reports no per-cycle diagnostics
+
+
+class Enkf(_Filter):
+    """The stochastic EnKF; its state is an EnkfState."""
+
+    def init(self, config, xa0, rng):
+        self.params = EnkfParams(R=_noise(config), n_ens=config.n_ens,
+                                 loc_radius=config.loc_radius, inflation=config.inflation)
+        self.rng = rng  # draws the initial members, then every cycle's perturbed observations
+        members = xa0 + math.sqrt(config.p0) * rng.standard_normal((config.n_ens, config.n))
+        return EnkfState(members.mean(axis=0), members)
+
+    def cycle(self, state, y):
+        members = enkf_cycle(state.members, y, self.model, self.obs_op, self.params, self.rng)
+        _require_finite(members, "ensemble")
+        return EnkfState(members.mean(axis=0), members)
+
+
+FILTERS = {"sparse_ukf": SparseUkf, "progressive_ekf": ProgressiveEkf, "enkf": Enkf,
+           "dense_ukf": DenseUkf}
 
 
 def run_replicate(config, replicate):
@@ -299,19 +338,16 @@ def run_replicate(config, replicate):
 
     model = Lorenz96Model(config.n, config.forcing, config.dt)
     obs_op = ObservationOperator(config.n, config.observed_indices)
-    state, cycle = _build_filter(config, obs_op, xa0, np.random.default_rng(s_filter))
+    filt = FILTERS[config.filter](model, obs_op)
+    state = filt.init(config, xa0, np.random.default_rng(s_filter))
 
     sq_sum = float(np.sum((state.xa - truth[0]) ** 2))
     gamma_hits = 0
     jitter_hits = 0
     try:
         for k in range(1, config.n_steps + 1):
-            state = cycle(state, y_at.get(k), model)
-            if not np.all(np.isfinite(state.xa)):
-                raise FloatingPointError("non-finite analysis state")
-            # the band of a sparse covariance, the dense covariance, or the EnKF members
-            if not np.isfinite(getattr(state.Pa, "band", state.Pa)).all():
-                raise FloatingPointError("non-finite analysis covariance")
+            state = filt.cycle(state, y_at.get(k))
+            _require_finite(state.xa, "state")
             sq_sum += float(np.sum((state.xa - truth[k]) ** 2))
             d = state.diagnostics
             if d is not None:
@@ -429,6 +465,3 @@ def write_summary_csv(summaries, path):
                 + f",{n_ok},{s.n_failed}\n"
             )
 
-
-def config_field_names():
-    return [f.name for f in fields(ExperimentConfig)]

@@ -1,13 +1,13 @@
-"""Component-based dynamical models and the linear observation operator.
+"""Dynamical models stepped whole or on windows, and the linear observation operator.
 
-A component-based model evaluates a requested subset of output state entries.
-A model that declares its ``halo`` - how far one step reaches to the left and
-to the right - is evaluated locally by ``step_columns``: a state that differs
-from a base state only on one pattern column is stepped on a gathered window
-(that column plus the halo on each side), and the column entries in the
-window's centre are kept. They are bit-identical to the same entries of the
-full step, because the window runs the same elementwise update. A model with
-no declared halo, or a window at least n wide, steps whole states.
+A model is a batched step of whole states plus a static ``halo``: how far
+one step reaches to the left and to the right. The halo is what makes local
+evaluation exact. ``step_columns`` steps a state that differs from a base
+state only on one pattern column on a gathered window (that column plus the
+halo on each side) and keeps the column entries in the window's centre. They
+are bit-identical to the same entries of the full step, because the window
+runs the same elementwise update. A model with no declared halo, or a window
+at least n wide, steps whole states.
 
 Every model keeps a running count of scalar output entries it has evaluated
 (the counted evaluations the filters report per cycle). The work actually
@@ -20,23 +20,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sparse_core import SparseVector, SparsityPattern, _read_only
-
-
-class StencilError(ValueError):
-    """Sparse model input does not cover the stencil of a requested output."""
+from .sparse_core import SparsityPattern, _read_only
 
 
 class ComponentModel:
-    """Base contract for component-based discrete models.
+    """Base contract: a step of whole states and of windows, with counted evaluations.
 
-    Subclasses implement ``step``, ``step_components`` and
-    ``dependency_stencil``; batched variants default to loops over the
-    single-state methods and may be overridden with vectorized versions.
-    ``dt`` is the full step size; passing ``dt=`` to the step methods
-    evaluates one step of a different size (used for inner-loop refinement).
-    ``halo = (left, right)`` declares that output entry i of one step depends
-    only on inputs i-left..i+right (cyclic); ``None`` declares nothing.
+    Subclasses implement ``advance(X, dt)``, one step of states on the last
+    axis, and, when they declare ``halo = (left, right)`` (output entry i of
+    one step depends only on inputs i-left..i+right, cyclic),
+    ``advance_windows(X, dt)``, which steps windows of width W and returns
+    their entries left..W-right-1. ``halo = None`` declares nothing. The
+    counted ``step``, ``step_many`` and ``step_components_many`` are built on
+    them. ``dt`` is the full step size; passing ``dt=`` evaluates one step of
+    a different size (used for inner-loop refinement).
     """
 
     halo = None
@@ -51,36 +48,52 @@ class ComponentModel:
         """Running count of scalar output entries evaluated so far."""
         return self._evals
 
-    def reset_evaluation_count(self):
-        self._evals = 0
-
-    # -- single-state surface (subclass responsibility) --
+    def _dt(self, dt):
+        return self.dt if dt is None else float(dt)
 
     def step(self, x, dt=None):
-        raise NotImplementedError
-
-    def step_components(self, x, out_indices, dt=None):
-        raise NotImplementedError
-
-    def dependency_stencil(self, i):
-        """Input indices needed to compute output entry i of one step."""
-        raise NotImplementedError
-
-    # -- derived operations --
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise ValueError(f"state must have shape ({self.n},), got {x.shape}")
+        self._evals += self.n
+        return self.advance(x, self._dt(dt))
 
     def step_many(self, X, dt=None):
         X = np.asarray(X, dtype=float)
-        return np.stack([self.step(x, dt=dt) for x in X])
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise ValueError(f"batch must have shape (B, {self.n}), got {X.shape}")
+        self._evals += X.shape[0] * self.n
+        return self.advance(X, self._dt(dt))
 
     def step_components_many(self, X, out_indices, dt=None):
-        """Per-row component evaluation; returns values aligned with out_indices."""
+        """Step every row of X and return it at its row of ``out_indices``.
+
+        Rows of width n are states and are stepped whole. Rows of any other
+        width are windows gathered from a state (see ``step_columns``): they
+        are stepped by ``advance_windows``, which is exact at least the halo
+        inside both ends, so the requested entries must lie there. Each
+        requested entry counts as one evaluation.
+        """
         X = np.asarray(X, dtype=float)
         out_indices = np.asarray(out_indices, dtype=np.intp)
-        vals = np.empty(out_indices.shape)
-        for b in range(X.shape[0]):
-            sv = self.step_components(X[b], out_indices[b], dt=dt)
-            vals[b] = sv.to_dense()[out_indices[b]]
-        return vals
+        if X.ndim != 2 or X.shape[0] != out_indices.shape[0]:
+            raise ValueError("one output index row per state required")
+        dt = self._dt(dt)
+        width = X.shape[1]
+        if width == self.n:
+            Y = self.advance(X, dt)
+        else:
+            left, right = self.halo
+            if out_indices.size and (out_indices.min() < left
+                                     or out_indices.max() >= width - right):
+                raise ValueError(
+                    f"window outputs must lie in [{left}, {width - right}) of a "
+                    f"width-{width} window"
+                )
+            Y = self.advance_windows(X, dt)
+            out_indices = out_indices - left
+        self._evals += out_indices.size
+        return np.take_along_axis(Y, out_indices, axis=1)
 
 
 @lru_cache(maxsize=8)
@@ -105,7 +118,6 @@ def lorenz96_rhs(x, forcing):
 # remaining stage, giving {i-8..i+4} regardless of the step size; rk4_window
 # relies on exactly this halo.
 _RK4_HALO = (8, 4)
-_RK4_STENCIL_OFFSETS = np.arange(-_RK4_HALO[0], _RK4_HALO[1] + 1)
 
 
 def _rhs_inner(x, forcing):
@@ -155,11 +167,8 @@ class Lorenz96Model(ComponentModel):
     """Cyclic Lorenz-96 dynamics advanced with RK4 steps.
 
     One RK4 step of entry i reads entries i-8..i+4, so the halo is (8, 4).
-    A row of a ``step_components_many`` batch is either a whole state, or a
-    window gathered by ``step_columns`` whose requested entries lie at least
-    the halo inside its ends; either way the requested entries are
-    bit-identical to the full step. ``step_components`` steps the whole state
-    and restricts the output, for arbitrary index sets.
+    States are stepped by ``rk4_step`` and windows by ``rk4_window``; the
+    entries a window keeps are bit-identical to the full step.
     """
 
     halo = _RK4_HALO
@@ -170,79 +179,11 @@ class Lorenz96Model(ComponentModel):
         super().__init__(n, dt)
         self.forcing = float(forcing)
 
-    def rhs(self, x):
-        return lorenz96_rhs(np.asarray(x, dtype=float), self.forcing)
+    def advance(self, X, dt):
+        return rk4_step(X, dt, self.forcing)
 
-    def step(self, x, dt=None):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"state must have shape ({self.n},), got {x.shape}")
-        self._evals += self.n
-        return rk4_step(x, self.dt if dt is None else float(dt), self.forcing)
-
-    def step_many(self, X, dt=None):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.n:
-            raise ValueError(f"batch must have shape (B, {self.n}), got {X.shape}")
-        self._evals += X.shape[0] * self.n
-        return rk4_step(X, self.dt if dt is None else float(dt), self.forcing)
-
-    def dependency_stencil(self, i):
-        return np.unique((int(i) + _RK4_STENCIL_OFFSETS) % self.n)
-
-    def _check_coverage(self, x, out_indices):
-        needed = np.unique((out_indices[:, None] + _RK4_STENCIL_OFFSETS[None, :]) % self.n)
-        if not np.isin(needed, x.indices).all():
-            missing = needed[~np.isin(needed, x.indices)]
-            raise StencilError(
-                f"sparse input does not cover the dependency stencil; missing {missing.tolist()}"
-            )
-
-    def step_components(self, x, out_indices, dt=None):
-        out = np.asarray(out_indices, dtype=np.intp).ravel()
-        if out.size and (out.min() < 0 or out.max() >= self.n):
-            raise ValueError("output index out of range")
-        if out.size == 0:
-            return SparseVector.empty(self.n)
-        if isinstance(x, SparseVector):
-            self._check_coverage(x, out)
-            xd = x.to_dense()
-        else:
-            xd = np.asarray(x, dtype=float)
-            if xd.shape != (self.n,):
-                raise ValueError(f"state must have shape ({self.n},), got {xd.shape}")
-        y = rk4_step(xd, self.dt if dt is None else float(dt), self.forcing)
-        self._evals += out.size
-        return SparseVector(self.n, out, y[out])
-
-    def step_components_many(self, X, out_indices, dt=None):
-        """Step every row of X and return it at its row of ``out_indices``.
-
-        Rows of width n are states and are stepped whole. Rows of any other
-        width are windows gathered from a state (see ``step_columns``): they
-        are stepped by ``rk4_window``, which is exact at least the halo
-        inside both ends, so the requested entries must lie there.
-        """
-        X = np.asarray(X, dtype=float)
-        out_indices = np.asarray(out_indices, dtype=np.intp)
-        if X.ndim != 2 or X.shape[0] != out_indices.shape[0]:
-            raise ValueError("one output index row per state required")
-        dt = self.dt if dt is None else float(dt)
-        width = X.shape[1]
-        if width == self.n:
-            Y = rk4_step(X, dt, self.forcing)
-        else:
-            left, right = self.halo
-            if out_indices.size and (out_indices.min() < left
-                                     or out_indices.max() >= width - right):
-                raise ValueError(
-                    f"window outputs must lie in [{left}, {width - right}) of a "
-                    f"width-{width} window"
-                )
-            Y = rk4_window(X, dt, self.forcing)
-            out_indices = out_indices - left
-        self._evals += out_indices.size
-        return np.take_along_axis(Y, out_indices, axis=1)
+    def advance_windows(self, X, dt):
+        return rk4_window(X, dt, self.forcing)
 
 
 @lru_cache(maxsize=16)
@@ -294,8 +235,7 @@ class ObservationOperator:
     """Linear selection of a fixed subset of state entries.
 
     The default observes every other entry starting at the first, i.e. for
-    n = 40 the 20 odd positions in 1-based counting. The Jacobian is the
-    constant selection matrix.
+    n = 40 the 20 odd positions in 1-based counting.
     """
 
     def __init__(self, n, indices=None):
@@ -321,8 +261,3 @@ class ObservationOperator:
         if x.shape[-1] != self.n:
             raise ValueError(f"state dimension must be {self.n}, got {x.shape[-1]}")
         return x[..., self.indices]
-
-    def jacobian(self):
-        H = np.zeros((self.m, self.n))
-        H[np.arange(self.m), self.indices] = 1.0
-        return H

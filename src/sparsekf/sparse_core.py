@@ -7,8 +7,8 @@ factorization discards any fill-in from its output.
 
 Contents:
   - SparsityPattern: cyclic-band admissibility rule and per-column index sets
-  - SparseVector, SparseColumns, SparseSymMatrix: the sparse containers
-  - merge: sparse-over-dense vector combination
+  - SparseSymMatrix: a symmetric matrix stored as its band
+  - SparseColumns: the pattern columns of a factor (the sigma-point offsets)
   - restricted_outer_accumulate / restricted_product: pattern-limited products
   - local_outer_sum, local_sum_band / local_sum_columns: sums of outer
     products of column-local vectors, read back on the pattern or by column
@@ -78,22 +78,6 @@ class SparsityPattern:
         """Number of admissible entries per column."""
         return self.columns.shape[1]
 
-    @classmethod
-    def full(cls, n):
-        """Pattern admitting every entry (half bandwidth n // 2)."""
-        return cls(n, n // 2)
-
-    def cyclic_distance(self, i, j):
-        d = abs(int(i) - int(j))
-        return min(d, self.n - d)
-
-    def contains(self, i, j):
-        return self.cyclic_distance(i, j) <= self.half_bandwidth
-
-    def column_indices(self, i):
-        """Sorted indices of admissible entries in column i."""
-        return self.columns[i].copy()
-
     @cached_property
     def offset_order(self):
         """Flat indices that reorder (n, nsp) values aligned with ``columns``
@@ -125,67 +109,14 @@ class SparsityPattern:
         return f"SparsityPattern(n={self.n}, half_bandwidth={self.half_bandwidth})"
 
 
-class SparseVector:
-    """Length-n vector with explicit entries only at a set of indices.
-
-    Reads outside the index set are exactly zero.
-    """
-
-    __slots__ = ("n", "indices", "values")
-
-    def __init__(self, n, indices, values):
-        self.n = int(n)
-        indices = np.asarray(indices, dtype=np.intp).ravel()
-        values = np.asarray(values, dtype=float).ravel()
-        if indices.shape != values.shape:
-            raise ValueError("indices and values must have the same length")
-        if indices.size:
-            if indices.min() < 0 or indices.max() >= self.n:
-                raise ValueError("index out of range")
-            if np.unique(indices).size != indices.size:
-                raise ValueError("duplicate indices")
-            order = np.argsort(indices)
-            indices = indices[order]
-            values = values[order]
-        self.indices = indices
-        self.values = values
-
-    @classmethod
-    def empty(cls, n):
-        return cls(n, np.empty(0, dtype=np.intp), np.empty(0))
-
-    def to_dense(self):
-        out = np.zeros(self.n)
-        out[self.indices] = self.values
-        return out
-
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, i):
-        k = np.searchsorted(self.indices, i)
-        if k < self.indices.size and self.indices[k] == i:
-            return float(self.values[k])
-        return 0.0
-
-
-def merge(x, y):
-    """Combine sparse ``x`` over dense ``y``: take x where defined, y elsewhere."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (x.n,):
-        raise ValueError(f"dimension mismatch: sparse has n={x.n}, dense has shape {y.shape}")
-    out = y.copy()
-    out[x.indices] = x.values
-    return out
-
-
 class SparseSymMatrix:
     """Symmetric matrix stored only at pattern entries.
 
     Storage is one slot per unordered admissible pair: ``band[i, d]`` holds
     the value at (i, (i+d) % n) for forward cyclic offsets d = 0..h, so the
-    footprint is n*(h+1) scalars. Reads outside the pattern return exactly 0,
-    and symmetry holds by construction (a single slot backs both triangles).
+    footprint is n*(h+1) scalars. ``to_dense`` is exactly 0 outside the
+    pattern, and symmetry holds by construction (a single slot backs both
+    triangles).
     """
 
     __slots__ = ("pattern", "band")
@@ -197,10 +128,6 @@ class SparseSymMatrix:
         if band.shape != expected:
             raise ValueError(f"band must have shape {expected}, got {band.shape}")
         self.band = band
-
-    @classmethod
-    def zeros(cls, pattern):
-        return cls(pattern, np.zeros((pattern.n, pattern.half_bandwidth + 1)))
 
     @classmethod
     def identity(cls, pattern, scale=1.0):
@@ -246,20 +173,6 @@ class SparseSymMatrix:
             self.column_values()[cols]
         return out
 
-    def get(self, i, j):
-        """Value at (i, j); exactly 0.0 outside the pattern."""
-        n, h = self.pattern.n, self.pattern.half_bandwidth
-        d = (j - i) % n
-        if d <= h:
-            return float(self.band[i, d])
-        d = (i - j) % n
-        if d <= h:
-            return float(self.band[j, d])
-        return 0.0
-
-    def __getitem__(self, ij):
-        return self.get(*ij)
-
     def to_dense(self):
         n, h = self.pattern.n, self.pattern.half_bandwidth
         out = np.zeros((n, n))
@@ -270,16 +183,10 @@ class SparseSymMatrix:
             out[j, idx] = self.band[:, d]
         return out
 
-    def diagonal(self):
-        return self.band[:, 0].copy()
-
     def add_scaled_identity(self, c):
         band = self.band.copy()
         band[:, 0] += c
         return SparseSymMatrix(self.pattern, band)
-
-    def copy(self):
-        return SparseSymMatrix(self.pattern, self.band.copy())
 
     def _check_same_pattern(self, other):
         if self.pattern != other.pattern:
@@ -292,11 +199,6 @@ class SparseSymMatrix:
     def __sub__(self, other):
         self._check_same_pattern(other)
         return SparseSymMatrix(self.pattern, self.band - other.band)
-
-    def __mul__(self, c):
-        return SparseSymMatrix(self.pattern, self.band * float(c))
-
-    __rmul__ = __mul__
 
 
 class SparseColumns:
@@ -323,9 +225,6 @@ class SparseColumns:
         dense = np.asarray(dense, dtype=float)
         vals = dense[pattern.columns, np.arange(pattern.n)[:, None]]
         return cls(pattern, vals)
-
-    def column(self, i):
-        return SparseVector(self.pattern.n, self.pattern.columns[i], self.values[i])
 
     def to_dense(self):
         n = self.pattern.n

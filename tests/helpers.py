@@ -1,19 +1,16 @@
-"""Shared test fixtures: a linear component model, closed-form KF oracles and
+"""Shared test fixtures: a linear model, closed-form KF oracles and
 dense-path oracles of the sparse filters."""
 
 import numpy as np
 
 from sparsekf.filters import GAMMA_MARGIN, CycleDiagnostics, FilterState, ukf_weights
 from sparsekf.models import ComponentModel, lorenz96_rhs
-from sparsekf.sparse_core import (
-    SparseSymMatrix,
-    SparseVector,
-    restricted_outer_accumulate,
-)
+from sparsekf.sparse_core import SparseSymMatrix, restricted_outer_accumulate
 
 
 class LinearModel(ComponentModel):
-    """Discrete linear map x -> A @ x satisfying the component-model contract.
+    """Discrete linear map x -> A @ x with no declared halo: it is only ever
+    stepped on whole states.
 
     Sub-step refinement has no meaning for a discrete map; tests only use
     n_p = 1, where the dt argument is ignored.
@@ -24,25 +21,9 @@ class LinearModel(ComponentModel):
         super().__init__(A.shape[0], dt)
         self.A = A
 
-    def step(self, x, dt=None):
-        x = np.asarray(x, dtype=float)
-        self._evals += self.n
-        return self.A @ x
-
-    def step_many(self, X, dt=None):
-        X = np.asarray(X, dtype=float)
-        self._evals += X.size
-        return X @ self.A.T
-
-    def step_components(self, x, out_indices, dt=None):
-        out = np.asarray(out_indices, dtype=np.intp).ravel()
-        xd = x.to_dense() if isinstance(x, SparseVector) else np.asarray(x, dtype=float)
-        y = self.A @ xd
-        self._evals += out.size
-        return SparseVector(self.n, out, y[out])
-
-    def dependency_stencil(self, i):
-        return np.nonzero(self.A[i])[0]
+    def advance(self, X, dt):
+        # row by row, so that a row of a batch is A @ x bit for bit
+        return np.apply_along_axis(lambda x: self.A @ x, -1, X)
 
 
 def scalar_kf(a, r, q, x0, p0, obs):

@@ -169,9 +169,9 @@ def test_criterion_02_scalar_kalman_equivalence():
         d_state = dense_ukf_cycle(d_state, [y], model, obs_op, d_params)
         p_state = progressive_ekf_cycle(p_state, [y], model, obs_op, p_params)
         errs = [
-            abs(s_state.xa[0] - kf_x[k]), abs(s_state.Pa.get(0, 0) - kf_p[k]),
+            abs(s_state.xa[0] - kf_x[k]), abs(s_state.Pa.to_dense()[0, 0] - kf_p[k]),
             abs(d_state.xa[0] - kf_x[k]), abs(d_state.Pa[0, 0] - kf_p[k]),
-            abs(p_state.xa[0] - kf_x[k]), abs(p_state.Pa.get(0, 0) - kf_p[k]),
+            abs(p_state.xa[0] - kf_x[k]), abs(p_state.Pa.to_dense()[0, 0] - kf_p[k]),
         ]
         worst = max(worst, *errs)
         assert worst <= 1e-8
@@ -184,7 +184,7 @@ def test_criterion_03_degeneration_to_dense_ukf():
     n = 6
     model_s, model_d = Lorenz96Model(n=n), Lorenz96Model(n=n)
     obs_op = ObservationOperator(n)
-    pattern = SparsityPattern.full(n)
+    pattern = SparsityPattern(n, n // 2)
     rng = np.random.default_rng(3)
     truth = rng.uniform(-1, 1, n)
     for _ in range(200):
@@ -209,8 +209,9 @@ def test_criterion_03_degeneration_to_dense_ukf():
 
 
 def test_criterion_04_component_model_fidelity():
-    """1000 random (state, index set) pairs: component evaluation equals the
-    restriction of the full RK4 step, exactly. On the same states, the
+    """1000 random (state, index set) pairs: component evaluation of the whole
+    state (``step_components_many``) equals the restriction of the full RK4
+    step, exactly. On the same states, the
     windowed evaluator the filters call (``step_columns``) equals the full
     step of every perturbed state on its column, exactly: every half
     bandwidth from windowed through the whole-state fallback to the full
@@ -232,9 +233,9 @@ def test_criterion_04_component_model_fidelity():
             x = x_att
         k = int(rng.integers(0, 41))
         idx = np.sort(rng.choice(40, size=k, replace=False))
-        sv = model.step_components(x, idx)
+        vals = model.step_components_many(x[None], idx[None])
         full = model.step(x.copy())
-        assert np.array_equal(sv.values, full[idx])
+        assert np.array_equal(vals[0], full[idx])
         states.append(x)
 
     def check_windowed(n, xs, prng):

@@ -163,22 +163,32 @@ class TestRunReplicate:
         r = run_replicate(cfg, 0)
         assert not r.failed and math.isfinite(r.rmse)
 
-    def test_non_finite_covariance_fails_at_its_cycle(self, monkeypatch):
-        real = harness.sparse_ukf_cycle
+    @pytest.mark.parametrize("name", ["sparse_ukf", "progressive_ekf", "dense_ukf", "enkf"])
+    def test_non_finite_covariance_fails_at_its_cycle(self, monkeypatch, name):
+        # the filter's cycle in the harness, the array of its output to poison
+        # and what the error names: the covariance, or the EnKF's members
+        cycle, target, what = {
+            "sparse_ukf": ("sparse_ukf_cycle", lambda out: out.Pa.band, "covariance"),
+            "progressive_ekf": ("progressive_ekf_cycle", lambda out: out.Pa.band, "covariance"),
+            "dense_ukf": ("dense_ukf_cycle", lambda out: out.Pa, "covariance"),
+            "enkf": ("enkf_cycle", lambda out: out, "ensemble"),
+        }[name]
+        real = getattr(harness, cycle)
         cycles = []
 
-        def poisoned(state, y, model, obs_op, params):
-            out = real(state, y, model, obs_op, params)
+        def poisoned(*args):
+            out = real(*args)
             cycles.append(out)
             if len(cycles) == 3:
-                out.Pa.band[4, 1] = np.nan  # the analysis state stays finite
+                target(out)[4, 1] = np.nan
             return out
 
-        monkeypatch.setattr(harness, "sparse_ukf_cycle", poisoned)
-        r = run_replicate(tiny_config(n_steps=10), 0)
-        assert np.isfinite(cycles[2].xa).all()
+        monkeypatch.setattr(harness, cycle, poisoned)
+        r = run_replicate(tiny_config(filter=name, n_steps=10), 0)
+        if name != "enkf":
+            assert np.isfinite(cycles[2].xa).all()  # the analysis state stays finite
         assert r.failed and math.isnan(r.rmse)
-        assert r.error == "FloatingPointError at cycle 3: non-finite analysis covariance"
+        assert r.error == f"FloatingPointError at cycle 3: non-finite analysis {what}"
 
 
 class TestRunExperiment:

@@ -1,4 +1,4 @@
-"""Lorenz-96 dynamics, component evaluation, and observation operator tests."""
+"""Lorenz-96 dynamics, whole-state and windowed evaluation, and observation operator tests."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,12 @@ from helpers import LinearModel, full_step_columns, ring_rk4
 from sparsekf.models import (
     Lorenz96Model,
     ObservationOperator,
-    StencilError,
     lorenz96_rhs,
     rk4_step,
     rk4_window,
     step_columns,
 )
-from sparsekf.sparse_core import SparseVector, SparsityPattern
+from sparsekf.sparse_core import SparsityPattern
 
 
 def attractor_state(n=40, forcing=8.0, dt=0.025, steps=500, seed=0):
@@ -71,25 +70,28 @@ class TestRk4:
 
 
 class TestStepComponents:
+    """``step_components_many`` on whole-state rows: each row's requested
+    entries of the full step."""
+
     def test_full_index_set_equals_step(self):
         model = Lorenz96Model()
         x = attractor_state(seed=1)
         full = model.step(x)
-        sv = model.step_components(x, np.arange(40))
-        assert np.array_equal(sv.to_dense(), full)
+        vals = model.step_components_many(x[None], np.arange(40)[None])
+        assert np.array_equal(vals[0], full)
 
     def test_empty_set(self):
         model = Lorenz96Model()
         before = model.evaluation_count
-        sv = model.step_components(attractor_state(), np.array([], dtype=int))
-        assert sv.indices.size == 0
+        vals = model.step_components_many(attractor_state()[None], np.empty((1, 0), dtype=int))
+        assert vals.shape == (1, 0)
         assert model.evaluation_count == before
 
     def test_single_entry_exact(self):
         model = Lorenz96Model()
         x = attractor_state(seed=2)
-        sv = model.step_components(x, [5])
-        assert sv[5] == model.step(x)[5]
+        vals = model.step_components_many(x[None], [[5]])
+        assert vals[0, 0] == model.step(x)[5]
 
     def test_random_pairs_exact(self):
         model = Lorenz96Model()
@@ -98,26 +100,8 @@ class TestStepComponents:
             x = rng.normal(scale=4.0, size=40)
             k = int(rng.integers(1, 41))
             idx = np.sort(rng.choice(40, size=k, replace=False))
-            sv = model.step_components(x, idx)
-            assert np.array_equal(sv.values, model.step(x.copy())[idx])
-
-    def test_sparse_input_with_covered_stencil(self):
-        model = Lorenz96Model()
-        x = attractor_state(seed=5)
-        out = np.array([10, 11, 12])
-        needed = np.unique(np.concatenate([model.dependency_stencil(i) for i in out]))
-        sv_in = SparseVector(40, needed, x[needed])
-        got = model.step_components(sv_in, out)
-        # must equal the full step of the zero-filled dense state
-        expected = model.step(sv_in.to_dense())[out]
-        assert np.array_equal(got.values, expected)
-
-    def test_sparse_input_missing_stencil_raises(self):
-        model = Lorenz96Model()
-        x = attractor_state(seed=6)
-        sv_in = SparseVector(40, [9, 10, 11], x[[9, 10, 11]])
-        with pytest.raises(StencilError):
-            model.step_components(sv_in, [10])
+            vals = model.step_components_many(x[None], idx[None])
+            assert np.array_equal(vals[0], model.step(x.copy())[idx])
 
     def test_batched_matches_single(self):
         model = Lorenz96Model()
@@ -126,8 +110,7 @@ class TestStepComponents:
         idx = np.stack([np.sort(rng.choice(40, size=5, replace=False)) for _ in range(6)])
         vals = model.step_components_many(X, idx)
         for b in range(6):
-            sv = model.step_components(X[b], idx[b])
-            assert np.array_equal(vals[b], sv.values)
+            assert np.array_equal(vals[b], model.step(X[b])[idx[b]])
 
 
 class TestWindowedEvaluation:
@@ -245,16 +228,19 @@ def _scatter(pattern, c, values):
 
 
 class TestDependencyStencil:
+    """The halo (left, right) declares that entry i of one step reads only
+    entries i-left..i+right; windowed evaluation is exact because of it."""
+
     def test_window_shape(self):
-        model = Lorenz96Model()
-        st = model.dependency_stencil(20)
-        assert np.array_equal(st, np.arange(12, 25))
+        # one RK4 step widens the stencil i-2..i+1 of the right-hand side four times
+        assert Lorenz96Model.halo == (8, 4)
 
     def test_outside_stencil_has_no_influence(self):
         model = Lorenz96Model()
         x = attractor_state(seed=8)
         i = 17
-        st = set(model.dependency_stencil(i).tolist())
+        left, right = Lorenz96Model.halo
+        st = set(range(i - left, i + right + 1))
         base = model.step(x)[i]
         for j in range(40):
             x2 = x.copy()
@@ -273,17 +259,13 @@ class TestEvaluationCounter:
         assert model.evaluation_count == 0
         model.step(x)
         assert model.evaluation_count == 40
-        model.step_components(x, [3, 4, 5])
-        assert model.evaluation_count == 43
         model.step_many(np.tile(x, (5, 1)))
-        assert model.evaluation_count == 43 + 200
+        assert model.evaluation_count == 40 + 200
         model.step_components_many(np.tile(x, (2, 1)), np.array([[0, 1], [2, 3]]))
-        assert model.evaluation_count == 243 + 4
+        assert model.evaluation_count == 240 + 4
         for _ in range(3):  # three of four sub-steps
             x = model.step(x, dt=model.dt / 4)
-        assert model.evaluation_count == 247 + 120
-        model.reset_evaluation_count()
-        assert model.evaluation_count == 0
+        assert model.evaluation_count == 244 + 120
 
 
 class TestChaos:
@@ -325,10 +307,11 @@ class TestObservationOperator:
                               2.0 * op.observe(x) + 3.0 * op.observe(y))
 
     def test_jacobian_consistent(self):
+        # observing is multiplying by the constant selection matrix
         op = ObservationOperator(11, [0, 4, 7])
         rng = np.random.default_rng(16)
         x = rng.normal(size=11)
-        assert np.array_equal(op.jacobian() @ x, op.observe(x))
+        assert np.array_equal(np.eye(11)[op.indices] @ x, op.observe(x))
 
     def test_batched_observe(self):
         op = ObservationOperator(6, [1, 3])

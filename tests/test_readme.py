@@ -1,0 +1,17 @@
+"""The README's library quick start runs against the package as it is."""
+
+import os
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def test_quick_start_runs_up_to_the_full_experiment():
+    with open(README) as f:
+        block = f.read().split("```python\n", 1)[1].split("```", 1)[0]
+    head, marker, _ = block.partition("# a full experiment")
+    assert marker, "the quick start no longer has its '# a full experiment' line"
+    namespace = {}
+    exec(compile(head, "README.md", "exec"), namespace)
+    state = namespace["state"]
+    assert state.xa.shape == (40,) and state.Pa.band.shape == (40, 4)
+    assert state.diagnostics.evaluations == 40 + 2 * 40 * 7

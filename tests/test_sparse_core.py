@@ -10,7 +10,6 @@ from sparsekf.sparse_core import (
     FactorizationError,
     SparseColumns,
     SparseSymMatrix,
-    SparseVector,
     SparsityPattern,
     band_gain,
     cholesky_with_jitter,
@@ -19,7 +18,6 @@ from sparsekf.sparse_core import (
     local_outer_sum,
     local_sum_band,
     local_sum_columns,
-    merge,
     min_eigenvalue,
     restricted_outer_accumulate,
     restricted_product,
@@ -45,24 +43,24 @@ class TestSparsityPattern:
         p = SparsityPattern(40, 3)
         assert p.nsp == 7
         for i in range(40):
-            cols = p.column_indices(i)
+            cols = p.columns[i]
             assert cols.size == 7
             assert i in cols
             for j in cols:
-                assert i in p.column_indices(j)
+                assert i in p.columns[j]
 
     def test_membership_rule_is_cyclic(self):
         p = SparsityPattern(10, 2)
-        assert p.contains(0, 9) and p.contains(0, 8)
-        assert not p.contains(0, 7)
-        assert p.contains(9, 1)
+        assert 9 in p.columns[0] and 8 in p.columns[0]
+        assert 7 not in p.columns[0]
+        assert 1 in p.columns[9]
 
     @pytest.mark.parametrize("n", [5, 6, 7, 12])
     def test_full_pattern_covers_everything(self, n):
-        p = SparsityPattern.full(n)
+        p = SparsityPattern(n, n // 2)
         assert p.nsp == n
         for i in range(n):
-            assert np.array_equal(p.column_indices(i), np.arange(n))
+            assert np.array_equal(p.columns[i], np.arange(n))
 
     def test_invalid_bandwidth(self):
         with pytest.raises(ValueError):
@@ -73,65 +71,17 @@ class TestSparsityPattern:
             SparsityPattern(0, 0)
 
 
-class TestSparseVector:
-    def test_reads_outside_index_set_are_zero(self):
-        v = SparseVector(5, [1, 3], [2.0, -4.0])
-        assert v[1] == 2.0 and v[3] == -4.0
-        assert v[0] == 0.0 and v[2] == 0.0 and v[4] == 0.0
-        assert np.array_equal(v.to_dense(), [0.0, 2.0, 0.0, -4.0, 0.0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SparseVector(3, [0, 0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            SparseVector(3, [3], [1.0])
-        with pytest.raises(ValueError):
-            SparseVector(3, [0, 1], [1.0])
-
-
-class TestMerge:
-    def test_single_entry(self):
-        x = SparseVector(3, [1], [9.0])
-        assert np.array_equal(merge(x, [1.0, 2.0, 3.0]), [1.0, 9.0, 3.0])
-
-    def test_empty_sparse_gives_dense(self):
-        y = np.array([4.0, 5.0, 6.0])
-        out = merge(SparseVector.empty(3), y)
-        assert np.array_equal(out, y)
-        out[0] = 0.0
-        assert y[0] == 4.0  # merge returns a copy
-
-    def test_full_index_set_gives_sparse(self):
-        x = SparseVector(3, [0, 1, 2], [7.0, 8.0, 9.0])
-        assert np.array_equal(merge(x, [1.0, 2.0, 3.0]), x.to_dense())
-
-    def test_definition_on_random_instances(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            n = int(rng.integers(1, 30))
-            k = int(rng.integers(0, n + 1))
-            idx = rng.choice(n, size=k, replace=False)
-            x = SparseVector(n, idx, rng.normal(size=k))
-            y = rng.normal(size=n)
-            z = merge(x, y)
-            for i in range(n):
-                assert z[i] == (x[i] if i in idx else y[i])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            merge(SparseVector.empty(3), np.zeros(4))
-
-
 class TestSparseSymMatrix:
     def test_reads_outside_pattern_are_exactly_zero(self):
         p = SparsityPattern(12, 2)
         rng = np.random.default_rng(0)
         M = SparseSymMatrix.from_dense(random_spd(rng, 12), p)
         mask = dense_mask(p)
+        D = M.to_dense()
         for i in range(12):
             for j in range(12):
                 if not mask[i, j]:
-                    assert M.get(i, j) == 0.0
+                    assert D[i, j] == 0.0
 
     def test_from_dense_roundtrip_on_pattern(self):
         p = SparsityPattern(11, 3)
@@ -151,7 +101,7 @@ class TestSparseSymMatrix:
     def test_storage_budget(self):
         for n, h in [(40, 3), (40, 5), (6, 3), (7, 3)]:
             p = SparsityPattern(n, h)
-            M = SparseSymMatrix.zeros(p)
+            M = SparseSymMatrix.identity(p, 0.0)
             assert M.band.size <= n * (h + 1)
 
     def test_arithmetic(self):
@@ -161,7 +111,6 @@ class TestSparseSymMatrix:
         assert np.allclose((A + B).to_dense(), 2.5 * np.eye(8))
         assert np.allclose((A - B).to_dense(), 1.5 * np.eye(8))
         assert np.allclose(A.add_scaled_identity(1.0).to_dense(), 3.0 * np.eye(8))
-        assert np.allclose((2.0 * B).to_dense(), np.eye(8))
 
     def test_pattern_mismatch(self):
         A = SparseSymMatrix.identity(SparsityPattern(8, 1))
@@ -172,13 +121,13 @@ class TestSparseSymMatrix:
     def test_even_full_pattern_antipode_consistency(self):
         # n even with h = n/2: the antipodal diagonal is stored twice; both
         # aliases must agree through every constructor.
-        p = SparsityPattern.full(6)
+        p = SparsityPattern(6, 3)
         rng = np.random.default_rng(3)
         A = random_spd(rng, 6)
         M = SparseSymMatrix.from_dense(A, p)
         assert np.allclose(M.to_dense(), A, atol=1e-14)
-        for i in range(6):
-            assert M.get(i, (i + 3) % 6) == M.get((i + 3) % 6, i)
+        for i in range(6):  # band slots (i, 3) and (i + 3, 3) both hold entry (i, i + 3)
+            assert M.band[i, 3] == M.band[(i + 3) % 6, 3]
 
 
 class TestRestrictedOuterAccumulate:
@@ -307,14 +256,14 @@ class TestIncompleteCholesky:
             assert np.array_equal(L.to_dense(), np.eye(n))
 
     def test_two_by_two_exact(self):
-        p = SparsityPattern.full(2)
+        p = SparsityPattern(2, 1)
         P = SparseSymMatrix.from_dense(np.array([[4.0, 2.0], [2.0, 5.0]]), p)
         L, jitter = incomplete_cholesky(P, 1.0)
         assert jitter == 0.0
         assert np.array_equal(L.to_dense(), np.array([[2.0, 0.0], [1.0, 2.0]]))
 
     def test_scale_enters_factor(self):
-        p = SparsityPattern.full(2)
+        p = SparsityPattern(2, 1)
         P = SparseSymMatrix.identity(p)
         L, _ = incomplete_cholesky(P, 9.0)
         assert np.allclose(L.to_dense(), 3.0 * np.eye(2))
@@ -364,21 +313,21 @@ class TestIncompleteCholesky:
     def test_full_pattern_matches_dense_cholesky(self, n):
         rng = np.random.default_rng(n)
         A = random_spd(rng, n)
-        p = SparsityPattern.full(n)
+        p = SparsityPattern(n, n // 2)
         L, jitter = incomplete_cholesky(SparseSymMatrix.from_dense(A, p), 1.0)
         assert jitter == 0.0
         rel = np.abs(L.to_dense() - np.linalg.cholesky(A)).max() / np.abs(A).max()
         assert rel <= 1e-10
 
     def test_jitter_recovers_singular_matrix(self):
-        p = SparsityPattern.full(2)
+        p = SparsityPattern(2, 1)
         P = SparseSymMatrix.from_dense(np.array([[1.0, 1.0], [1.0, 1.0]]), p)
         L, jitter = incomplete_cholesky(P, 1.0)
         assert jitter > 0.0
         assert np.isfinite(L.to_dense()).all()
 
     def test_unrecoverable_raises(self):
-        p = SparsityPattern.full(2)
+        p = SparsityPattern(2, 1)
         P = SparseSymMatrix.from_dense(-np.eye(2), p)
         with pytest.raises(FactorizationError):
             incomplete_cholesky(P, 1.0)
@@ -396,8 +345,6 @@ class TestIncompleteCholesky:
         mask = dense_mask(p)
         D = L.to_dense()
         assert np.array_equal(D[~mask], np.zeros(np.count_nonzero(~mask)))
-        col = L.column(4)
-        assert set(col.indices) <= set(p.column_indices(4))
 
 
 class TestMinEigenvalue:
@@ -704,7 +651,7 @@ class TestRestrictedProduct:
         assert np.array_equal(M.to_dense(), np.zeros((6, 6)))
 
     def test_identity_product_full_pattern(self):
-        p = SparsityPattern.full(5)
+        p = SparsityPattern(5, 2)
         M = restricted_product(np.eye(5), np.eye(5), p)
         assert np.array_equal(M.to_dense(), np.eye(5))
 
@@ -746,9 +693,8 @@ class TestSparseColumns:
         D = np.zeros((6, 6))
         D[p.columns, np.arange(6)[:, None]] = 1.0
         cols = SparseColumns.from_dense(D, p)
-        v = cols.column(2)
-        assert np.array_equal(v.indices, p.column_indices(2))
-        assert np.array_equal(v.values, np.ones(3))
+        assert np.array_equal(cols.values, np.ones((6, 3)))
+        assert np.array_equal(cols.to_dense(), D)
 
     def test_shape_validation(self):
         p = SparsityPattern(6, 1)
