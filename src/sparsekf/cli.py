@@ -86,6 +86,8 @@ def _cmd_truth(args):
 
 def _cmd_run(args):
     config = build_config(args)
+    if args.replicate < 0:
+        raise ConfigError(f"replicate must be nonnegative, got {args.replicate}")
     result = run_replicate(config, args.replicate)
     if result.failed:
         print(f"replicate {result.replicate} FAILED: {result.error}", file=sys.stderr)

@@ -28,8 +28,6 @@ from .sparse_core import (
     gain_layout,
     incomplete_cholesky,
     local_outer_sum,
-    local_sum_band,
-    local_sum_columns,
     min_eigenvalue,
     restricted_outer_accumulate,
     restricted_product,
@@ -88,12 +86,18 @@ def ukf_weights(n, kappa=0.0):
     return w
 
 
+def _frozen(a):
+    """A read-only float copy: params objects are shared by every cycle."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 def _freeze_noise(params):
     """Store a read-only copy of ``params.R`` and its diagonal ``r_diag``
     (None if an entry off the diagonal is nonzero), which picks the gain
     path and the nis formula."""
-    R = np.array(params.R, dtype=float)
-    R.flags.writeable = False
+    R = _frozen(params.R)
     m = R.shape[0]
     off = R.ravel()[1:].reshape(m - 1, m + 1)[:, :m]  # every off-diagonal entry
     object.__setattr__(params, "R", R)
@@ -164,12 +168,15 @@ class EnkfParams:
     n_ens: int = 10
     loc_radius: float | None = 9.0
     inflation: float = field(default=math.sqrt(1.08))
+    r_factor: np.ndarray = field(init=False, repr=False, compare=False)  # Cholesky factor of R
 
     def __post_init__(self):
         if self.n_ens < 2:
             raise ValueError("n_ens must be >= 2")
         if self.loc_radius is not None and self.loc_radius <= 0:
             raise ValueError("loc_radius must be positive (or None for no taper)")
+        object.__setattr__(self, "R", _frozen(self.R))
+        object.__setattr__(self, "r_factor", _frozen(np.linalg.cholesky(self.R)))
 
 
 def gaspari_cohn(dist, radius):
@@ -224,20 +231,20 @@ def _gamma_repair(E):
     return E, 0.0, factorizations
 
 
-def _structured_gain(band, k, pattern, obs_op, r, rhs):
-    """``band_gain`` on the cyclic band A (half bandwidth k, band array
-    ``band``) observed by ``obs_op``, with M = A[oi, oi] + diag(r); None
-    where the dense gain applies instead: observations not a regular stride
-    dividing n, an observation space too small for ``uses_structured_path``,
-    R not diagonal (r None), or an M that does not factor (the dense solve
-    then decides)."""
+def _structured_gain(A, pattern, obs_op, r, rhs):
+    """``band_gain`` on the cyclic band A observed by ``obs_op``, with M =
+    A[oi, oi] + diag(r) and the result on ``pattern``; None where the dense
+    gain applies instead: observations not a regular stride dividing n, an
+    observation space too small for ``uses_structured_path``, R not
+    diagonal (r None), or an M that does not factor (the dense solve then
+    decides)."""
     if r is None:
         return None
-    layout = gain_layout(pattern.n, k, pattern.half_bandwidth, obs_op.indices)
+    layout = gain_layout(A.n, A.pattern.half_bandwidth, pattern.half_bandwidth, obs_op.indices)
     if layout is None:
         return None
     try:
-        return band_gain(layout.observed(band, r), layout.local_rows(band), layout, rhs)
+        return band_gain(layout.observed(A, r), layout.local_rows(A), layout, rhs)
     except (np.linalg.LinAlgError, FactorizationError):
         return None
 
@@ -261,12 +268,54 @@ def _dense_gain(Pyy, Pxy, innov, oi, r):
     return K, K @ innov, X[:, -1]
 
 
-def _analysis(xa, E, jitter, evals, innov, nis):
-    """Repair the analysis covariance E and wrap up the cycle."""
+def _update(xb, Pb, A, innov, obs_op, params, sbar=None):
+    """Kalman update of the background (xb, Pb) by the innovation: (xa, E,
+    nis), E the analysis covariance on Pb's pattern before the repair.
+
+    The cross covariance is Pxy = C - sbar u^T with C = A[:, oi] and u =
+    sbar[oi], and Pyy = M - u u^T with M = A[oi, oi] + R. The progressive
+    EKF passes A = Pb and no sbar; the sparse UKF passes A = sum_k w_k S_k
+    S_k^T and its mean deviation sbar. Where ``_structured_gain`` applies,
+    no gain is formed: the band of C M^-1 C^T and C M^-1 [d, u] come from a
+    band factor of M, and for sbar Sherman-Morrison gives Pyy^-1 from M^-1
+    when 1 - u^T M^-1 u > 0, so that band(Pxy Pyy^-1 Pxy^T) = band(C M^-1
+    C^T) + alpha v v^T - sbar sbar^T with v = C M^-1 u - sbar, alpha = 1 /
+    (1 - u^T M^-1 u). Elsewhere Pxy and Pyy are dense and one dense solve
+    gives the gain.
+    """
+    pattern = Pb.pattern
+    oi = obs_op.indices
+    u = None if sbar is None else sbar[oi]
+    gain = _structured_gain(A, pattern, obs_op, params.r_diag,
+                            (innov,) if u is None else (innov, u))
+    if gain is not None:
+        CMC, (Cd, *Cu), (Md, *Mu) = gain  # band(C M^-1 C^T), C M^-1 [d, u], M^-1 [d, u]
+        if u is None:
+            return xb + Cd, Pb - CMC, float(innov @ Md) / oi.size
+        c = float(u @ Mu[0])
+        if c < 1.0:
+            alpha = 1.0 / (1.0 - c)
+            ud = float(u @ Md)
+            v = Cu[0] - sbar
+            xa = xb + Cd + (alpha * ud) * v
+            rank_one = restricted_outer_accumulate(np.stack([v, sbar]), np.array([alpha, -1.0]),
+                                                   pattern)
+            return xa, Pb - CMC - rank_one, (float(innov @ Md) + alpha * ud * ud) / oi.size
+
+    Pxy = A.dense_columns(oi)
+    if u is not None:
+        Pxy -= np.outer(sbar, u)
+    K, Kd, Pyy_d = _dense_gain(Pxy[oi] + params.R, Pxy, innov, oi, params.r_diag)
+    return xb + Kd, Pb - restricted_product(K, Pxy.T, pattern), float(innov @ Pyy_d) / oi.size
+
+
+def _analysis(xa, E, jitter, evals, innov=None, nis=0.0):
+    """Repair the analysis covariance E and wrap up the cycle (innov None:
+    a forecast-only cycle)."""
     Pa, gamma, factorizations = _gamma_repair(E)
-    diag = CycleDiagnostics(gamma, jitter, evals, float(np.linalg.norm(innov)), factorizations,
-                            nis)
-    return FilterState(xa, Pa, diag)
+    innovation_norm = 0.0 if innov is None else float(np.linalg.norm(innov))
+    return FilterState(xa, Pa, CycleDiagnostics(gamma, jitter, evals, innovation_norm,
+                                                factorizations, nis))
 
 
 def sparse_ukf_cycle(state, y_obs, model, obs_op, params):
@@ -281,15 +330,11 @@ def sparse_ukf_cycle(state, y_obs, model, obs_op, params):
     Step 2: with sbar = sum_k w_k S_k (scattered to length n), the mean is
     xb0 + sbar, and since the weights sum to one the sample covariance is
     A - sbar sbar^T with A = sum_k w_k S_k S_k^T, a band of half width 2h
-    accumulated from the local deviations alone. Pb is the pattern part of it,
-    Pxy its observed columns and Pyy their observed rows plus R; no n-vector
-    per sigma point is ever formed.
-    Step 3: gain, mean update, and pattern-restricted covariance update with
-    the adaptive gamma*I positivity repair. Where ``_structured_gain``
-    applies, the gain is never formed: the band of Pxy Pyy^-1 Pxy^T and
-    Pxy Pyy^-1 innov come from a band factor of A[oi, oi] + R and
-    Sherman-Morrison; elsewhere Pxy and Pyy are dense and one dense solve
-    gives the gain.
+    accumulated from the local deviations alone (``local_outer_sum``). Pb
+    is the slice of A on the pattern less the pattern part of sbar sbar^T;
+    no n-vector per sigma point is ever formed.
+    Step 3: the Kalman update ``_update`` of (xb0 + sbar, Pb) from A and
+    sbar, and the adaptive gamma*I positivity repair.
     """
     n = model.n
     pattern = params.pattern
@@ -307,49 +352,19 @@ def sparse_ukf_cycle(state, y_obs, model, obs_op, params):
     sbar = w1 * np.bincount(pattern.offset_columns.ravel(), weights=(S[0] + S[1]).ravel(),
                             minlength=n)
     xb_mean = xb0 + sbar
-    D = local_outer_sum(S, w1, pattern)  # A = sum_k w_k S_k S_k^T
-    Pb = local_sum_band(D, pattern) - restricted_outer_accumulate(sbar[None, :], np.ones(1),
-                                                                  pattern)
+    A = local_outer_sum(S, w1, pattern)  # A = sum_k w_k S_k S_k^T
+    Pb = SparseSymMatrix(pattern, A.band[:, :pattern.half_bandwidth + 1]) \
+        - restricted_outer_accumulate(sbar[None, :], np.ones(1), pattern)
     if params.Q is not None:
         Pb = Pb + params.Q
 
+    # Step 3: Kalman update and repair
     evals = model.evaluation_count - evals0
     if y_obs is None:
-        Pa, gamma, factorizations = _gamma_repair(Pb)
-        diag = CycleDiagnostics(gamma, jitter, evals, 0.0, factorizations)
-        return FilterState(xb_mean, Pa, diag)
-
-    # Step 3: Kalman gain and analysis
-    y_obs = np.asarray(y_obs, dtype=float)
-    oi = obs_op.indices
-    innov = y_obs - obs_op.observe(xb_mean)
-    u = sbar[oi]
-    # Pyy = M - u u^T with M = A[oi, oi] + R and Pxy = C - sbar u^T with
-    # C = A[:, oi]: Sherman-Morrison gives Pyy^-1 from M^-1 when 1 - u^T M^-1 u
-    # > 0, and then band(Pxy Pyy^-1 Pxy^T) = band(C M^-1 C^T) + alpha v v^T
-    # - sbar sbar^T with v = C M^-1 u - sbar, alpha = 1 / (1 - u^T M^-1 u).
-    gain = _structured_gain(D, 2 * pattern.half_bandwidth, pattern, obs_op, params.r_diag,
-                            (innov, u))
-    if gain is not None:
-        CMC, (Cd, Cu), (Md, Mu) = gain  # band(C M^-1 C^T), C M^-1 [d, u], M^-1 [d, u]
-        c = float(u @ Mu)
-        if c < 1.0:
-            alpha = 1.0 / (1.0 - c)
-            ud = float(u @ Md)
-            v = Cu - sbar
-            xa = xb_mean + Cd + (alpha * ud) * v
-            rank_one = restricted_outer_accumulate(np.stack([v, sbar]), np.array([alpha, -1.0]),
-                                                   pattern)
-            E = Pb - CMC - rank_one
-            nis = (float(innov @ Md) + alpha * ud * ud) / oi.size
-            return _analysis(xa, E, jitter, evals, innov, nis)
-
-    Pxy = local_sum_columns(D, pattern, oi) - np.outer(sbar, sbar[oi])
-    Pyy = Pxy[oi] + params.R
-    K, Kd, Pyy_d = _dense_gain(Pyy, Pxy, innov, oi, params.r_diag)
-    xa = xb_mean + Kd
-    E = Pb - restricted_product(K, Pxy.T, pattern)
-    return _analysis(xa, E, jitter, evals, innov, float(innov @ Pyy_d) / oi.size)
+        return _analysis(xb_mean, Pb, jitter, evals)
+    innov = np.asarray(y_obs, dtype=float) - obs_op.observe(xb_mean)
+    xa, E, nis = _update(xb_mean, Pb, A, innov, obs_op, params, sbar)
+    return _analysis(xa, E, jitter, evals, innov, nis)
 
 
 def progressive_ekf_cycle(state, y_obs, model, obs_op, params):
@@ -361,10 +376,9 @@ def progressive_ekf_cycle(state, y_obs, model, obs_op, params):
     restricted to pattern column i. Each probe x + delta*P_i differs from x
     only on that column, so it is forecast there alone (``step_columns``),
     and P, its columns and G + G^T stay on the band. Q is added after the
-    last sub-step. The analysis covariance (I - KH)Pb is restricted to the
-    pattern and repaired with gamma*I when indefinite. Where
-    ``_structured_gain`` applies, its band and K innov come from a band
-    factor of S = P[oi, oi] + R, with no dense PHt, S or K.
+    last sub-step. The Kalman update ``_update`` restricts the analysis
+    covariance (I - KH)Pb to the pattern, and it is repaired with gamma*I
+    when indefinite.
     """
     pattern = params.pattern
     delta = params.delta
@@ -383,31 +397,12 @@ def progressive_ekf_cycle(state, y_obs, model, obs_op, params):
     if params.Q is not None:
         P = P + params.Q
 
-    xb = x_base
-    yb = obs_op.observe(xb)
     evals = model.evaluation_count - evals0
-
     if y_obs is None:
-        Pa, gamma, factorizations = _gamma_repair(P)
-        diag = CycleDiagnostics(gamma, 0.0, evals, 0.0, factorizations)
-        return FilterState(xb, Pa, diag)
-
-    # Step 3: Kalman gain and analysis
-    y_obs = np.asarray(y_obs, dtype=float)
-    oi = obs_op.indices
-    innov = y_obs - yb
-    gain = _structured_gain(P.band, pattern.half_bandwidth, pattern, obs_op, params.r_diag,
-                            (innov,))
-    if gain is not None:
-        KHP, (Kd,), (Sd,) = gain  # band(K PHt^T), K innov and S^-1 innov
-        return _analysis(xb + Kd, P - KHP, 0.0, evals, innov, float(innov @ Sd) / oi.size)
-
-    PHt = P.dense_columns(oi)
-    S = PHt[oi, :] + params.R
-    K, Kd, Sd = _dense_gain(S, PHt, innov, oi, params.r_diag)
-    xa = xb + Kd
-    E = P - restricted_product(K, PHt.T, pattern)
-    return _analysis(xa, E, 0.0, evals, innov, float(innov @ Sd) / oi.size)
+        return _analysis(x_base, P, 0.0, evals)
+    innov = np.asarray(y_obs, dtype=float) - obs_op.observe(x_base)
+    xa, E, nis = _update(x_base, P, P, innov, obs_op, params)
+    return _analysis(xa, E, 0.0, evals, innov, nis)
 
 
 def enkf_cycle(ensemble, y_obs, model, obs_op, params, rng):
@@ -441,8 +436,7 @@ def enkf_cycle(ensemble, y_obs, model, obs_op, params, rng):
     K = np.linalg.solve(S, PHt.T).T
 
     y_obs = np.asarray(y_obs, dtype=float)
-    LR = np.linalg.cholesky(params.R)
-    Y_pert = y_obs + rng.standard_normal((n_ens, oi.size)) @ LR.T
+    Y_pert = y_obs + rng.standard_normal((n_ens, oi.size)) @ params.r_factor.T
     return E_inf + (Y_pert - E_inf[:, oi]) @ K.T
 
 

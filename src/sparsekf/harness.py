@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ConfigError(f"nsp must be odd and positive, got {self.nsp}")
         if self.nsp > self.n:
             raise ConfigError(f"nsp must be <= n, got nsp={self.nsp} with n={self.n}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.n_steps < 1 or self.n_replicates < 1:
             raise ConfigError("n_steps and n_replicates must be positive")
         if self.observed_every < 1 or self.observed_every > self.n:

@@ -10,8 +10,8 @@ Contents:
   - SparseSymMatrix: a symmetric matrix stored as its band
   - SparseColumns: the pattern columns of a factor (the sigma-point offsets)
   - restricted_outer_accumulate / restricted_product: pattern-limited products
-  - local_outer_sum, local_sum_band / local_sum_columns: sums of outer
-    products of column-local vectors, read back on the pattern or by column
+  - local_outer_sum: the sum of outer products of column-local vectors, a
+    band of twice the half bandwidth
   - cholesky_with_jitter: the jitter retry schedule shared by every factor
   - CyclicBandCholesky: exact O(n b^2) factor of a cyclic band, with solves
     and the selected inverse (the blocks of its inverse on the factor's
@@ -167,11 +167,8 @@ class SparseSymMatrix:
 
     def dense_columns(self, cols):
         """Dense columns ``to_dense()[:, cols]`` without forming the n x n matrix."""
-        cols = np.asarray(cols, dtype=np.intp)
-        out = np.zeros((self.pattern.n, cols.size))
-        out[self.pattern.offset_columns[cols], np.arange(cols.size)[:, None]] = \
-            self.column_values()[cols]
-        return out
+        cols = np.ascontiguousarray(cols, dtype=np.intp)
+        return _take(self, _column_index(self.n, self.pattern.half_bandwidth, cols.tobytes()))
 
     def to_dense(self):
         n, h = self.pattern.n, self.pattern.half_bandwidth
@@ -313,11 +310,10 @@ def local_outer_sum(V, weight, pattern):
     """Sum ``A = weight * sum_k v_k v_k^T`` of column-local vectors, by offset difference.
 
     ``V`` has shape (p, n, nsp): ``V[k, i]`` is a vector supported on pattern
-    column i, in offset order (at rows ``offset_columns[i]``). A has half
-    bandwidth 2h. It is returned as D of shape (n, nsp): ``D[r, e]`` sums the
-    products of entries at rows r and r+e (mod n) whose offsets differ by e.
-    ``local_sum_band`` and ``local_sum_columns`` read A from D. The cost is
-    O(p n nsp^2) time and O(p n nsp) memory.
+    column i, in offset order (at rows ``offset_columns[i]``). A is returned
+    as a SparseSymMatrix of half bandwidth min(2h, n // 2), so its slice
+    ``band[:, :h+1]`` is the part on ``pattern``. The cost is O(p n nsp^2)
+    time and O(p n nsp) memory.
     """
     V = np.asarray(V, dtype=float)
     n, h, nsp = pattern.n, pattern.half_bandwidth, pattern.nsp
@@ -330,62 +326,37 @@ def local_outer_sum(V, weight, pattern):
     shifted = as_strided(U, shape=(nsp, nsp, p, n),  # shifted[e, a, k, t] = U[a + e, k, t + e]
                          strides=((p * length + 1) * item, p * length * item, length * item, item),
                          writeable=False)
+    # D[r, e] sums the products of entries at rows r and r+e (mod n) whose
+    # offsets differ by e. For 4h < n no two differences alias, and D is
+    # the band of A as it stands.
     D = np.einsum("akt,eakt->te", U[:nsp, :, :n], shifted)
     D *= weight
-    return D
+    wide, fold = _sum_layout(n, h)
+    if fold is not None:
+        take, bins = fold
+        D = np.bincount(bins, weights=D.ravel()[take], minlength=n * (wide.half_bandwidth + 1))
+    return SparseSymMatrix(wide, D.reshape(n, -1))
 
 
-def _difference_pairs(n, h):
-    """Row r and column (r + e) mod n of every entry (r, e) of a D array."""
-    nsp = SparsityPattern(n, h).nsp
+@lru_cache(maxsize=16)
+def _sum_layout(n, h):
+    """The pattern of ``local_outer_sum`` on (n, h), half bandwidth
+    k = min(2h, n // 2), and for 4h >= n the entries of D and the band slots
+    they add to (None otherwise). Entry (r, e) is the pair {r, r+e}: it adds
+    to slot (r, e) if e <= k, and for e > 0 to slot (r+e, n-e) if n-e <= k
+    (both for antipodes of the full even pattern)."""
+    wide = SparsityPattern(n, min(2 * h, n // 2))
+    if 4 * h < n:
+        return wide, None
+    k, nsp = wide.half_bandwidth, SparsityPattern(n, h).nsp
     r = np.repeat(np.arange(n), nsp)
     e = np.tile(np.arange(nsp), n)
-    return r, e, (r + e) % n
-
-
-@lru_cache(maxsize=16)
-def _band_bins(n, h):
-    """Entries of D and the band slots they add to. Entry (r, e) is the pair
-    {r, r+e}: it adds to slot (r, e) if e <= h, and for e > 0 to slot
-    (r+e, n-e) if n-e <= h (both for antipodes of the full even pattern)."""
-    r, e, j = _difference_pairs(n, h)
-    first = e <= h
-    second = (e > 0) & (n - e <= h)
+    first = e <= k
+    second = (e > 0) & (n - e <= k)
     take = np.concatenate([np.flatnonzero(first), np.flatnonzero(second)])
-    bins = np.concatenate([r[first] * (h + 1) + e[first], j[second] * (h + 1) + n - e[second]])
-    return _read_only(take), _read_only(bins)
-
-
-@lru_cache(maxsize=16)
-def _column_bins(n, h, cols_key):
-    """Entries of D and the positions of dense A[:, cols] they add to."""
-    cols = np.frombuffer(cols_key, dtype=np.intp)
-    pos = np.full(n, -1, dtype=np.intp)
-    pos[cols] = np.arange(cols.size)
-    r, e, j = _difference_pairs(n, h)
-    first = pos[j] >= 0  # A[r, j]
-    second = (e > 0) & (pos[r] >= 0)  # A[j, r]
-    take = np.concatenate([np.flatnonzero(first), np.flatnonzero(second)])
-    bins = np.concatenate([r[first] * cols.size + pos[j[first]],
-                           j[second] * cols.size + pos[r[second]]])
-    return _read_only(take), _read_only(bins)
-
-
-def local_sum_band(D, pattern):
-    """Pattern part of the sum A that ``local_outer_sum`` returned as D."""
-    n, h = pattern.n, pattern.half_bandwidth
-    take, bins = _band_bins(n, h)
-    band = np.bincount(bins, weights=np.asarray(D).ravel()[take], minlength=n * (h + 1))
-    return SparseSymMatrix(pattern, band.reshape(n, h + 1))
-
-
-def local_sum_columns(D, pattern, cols):
-    """Dense columns ``A[:, cols]`` (distinct cols) of the same sum."""
-    n, h = pattern.n, pattern.half_bandwidth
-    cols = np.ascontiguousarray(cols, dtype=np.intp)
-    take, bins = _column_bins(n, h, cols.tobytes())
-    out = np.bincount(bins, weights=np.asarray(D).ravel()[take], minlength=n * cols.size)
-    return out.reshape(n, cols.size)
+    bins = np.concatenate([r[first] * (k + 1) + e[first],
+                           ((r + e) % n)[second] * (k + 1) + n - e[second]])
+    return wide, (_read_only(take), _read_only(bins))
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +414,19 @@ def _band_index(n, h, i, j):
     zero appended to the flattened band) outside the pattern."""
     d, e = (j - i) % n, (i - j) % n
     return np.where(d <= h, i * (h + 1) + d, np.where(e <= h, j * (h + 1) + e, n * (h + 1)))
+
+
+def _take(A, index):
+    """Entries of the SparseSymMatrix A at ``_band_index`` flat indices."""
+    return np.append(A.band.ravel(), 0.0)[index]
+
+
+@lru_cache(maxsize=16)
+def _column_index(n, h, cols_key):
+    """(n, cols) flat band indices of the dense columns ``cols``. Column j
+    reads slot (j, d) at row j + d, as ``to_dense`` writes an antipodal pair."""
+    cols = np.frombuffer(cols_key, dtype=np.intp)
+    return _read_only(_band_index(n, h, cols[None, :], np.arange(n)[:, None]))
 
 
 def _block_entry(n, b, row, col):
@@ -801,13 +785,12 @@ def _certified_min_eigenvalue(P):
 def min_eigenvalue(P, info=None):
     """Smallest eigenvalue of the symmetric matrix represented by ``P``.
 
-    Off-pattern entries are zero, i.e. the eigenvalue is that of the full
-    symmetric completion. Accepts a SparseSymMatrix or a dense symmetric
-    array.
+    ``P`` is a SparseSymMatrix; off-pattern entries are zero, i.e. the
+    eigenvalue is that of the full symmetric completion.
 
-    Dense arrays and small rings use numpy's ``eigvalsh``. On the structured
-    path (``uses_structured_path``) no n x n array is formed: Lanczos on
-    -P proposes a first shift; a shift sigma at which ``P - sigma I``
+    Small rings use numpy's ``eigvalsh``. On the structured path
+    (``uses_structured_path``) no n x n array is formed: Lanczos on -P
+    proposes a first shift; a shift sigma at which ``P - sigma I``
     factors (CyclicBandCholesky) lies below lambda_min; Lanczos on the
     inverse of that factor refines a Rayleigh quotient theta >= lambda_min;
     and theta is returned only once
@@ -821,11 +804,10 @@ def min_eigenvalue(P, info=None):
     of factorizations made (0 on the dense path).
     """
     lam, count = None, 0
-    if isinstance(P, SparseSymMatrix) and uses_structured_path(P.n, P.pattern.half_bandwidth):
+    if uses_structured_path(P.n, P.pattern.half_bandwidth):
         lam, count = _certified_min_eigenvalue(P)
     if lam is None:
-        A = P.to_dense() if isinstance(P, SparseSymMatrix) else np.asarray(P, dtype=float)
-        lam = float(np.linalg.eigvalsh(A)[0])
+        lam = float(np.linalg.eigvalsh(P.to_dense())[0])
     if info is not None:
         info["factorizations"] = count
     return lam
@@ -838,15 +820,14 @@ def min_eigenvalue(P, info=None):
 class GainLayout:
     """Cached index arrays of ``band_gain`` for one observation geometry.
 
-    A is a cyclic band of half bandwidth k on n states, given by its band
-    array (row i holds A[i, (i+e) % n], e = 0..k, as ``SparseSymMatrix.band``
-    or a ``local_outer_sum`` array). It is observed at ``first + stride *
-    alpha``, alpha < m = n / stride. ``C = A[:, observed]`` is kept as local
-    rows: row i of C at the q observed indices ``windows[i]``, a cyclic run
-    that covers every observed column within k of state i (entries past that
-    read 0). ``width`` is the largest observation-space distance between the
-    window entries of two states at most h apart, which is the reach of the
-    band of ``C M^-1 C^T`` on the pattern ``SparsityPattern(n, h)``.
+    A is a SparseSymMatrix on the cyclic band of half bandwidth k on n
+    states. It is observed at ``first + stride * alpha``, alpha < m = n /
+    stride. ``C = A[:, observed]`` is kept as local rows: row i of C at the
+    q observed indices ``windows[i]``, a cyclic run that covers every
+    observed column within k of state i (entries past that read 0).
+    ``width`` is the largest observation-space distance between the window
+    entries of two states at most h apart, which is the reach of the band of
+    ``C M^-1 C^T`` on the pattern ``SparsityPattern(n, h)``.
     """
 
     def __init__(self, n, k, h, first, stride):
@@ -894,13 +875,13 @@ class GainLayout:
             n, k, first + stride * alpha,
             first + stride * ((alpha + np.arange(self.width + 1)) % self.m)))  # (m, width+1)
 
-    def local_rows(self, band):
+    def local_rows(self, A):
         """(n, q) rows of C = A[:, observed] at ``windows``."""
-        return np.append(band.ravel(), 0.0)[self._rows]
+        return _take(A, self._rows)
 
-    def observed(self, band, r):
+    def observed(self, A, r):
         """``A[observed][:, observed] + diag(r)`` on ``obs_pattern``."""
-        M = np.append(band.ravel(), 0.0)[self._observed]
+        M = _take(A, self._observed)
         M[:, 0] += r
         return SparseSymMatrix(self.obs_pattern, M)
 

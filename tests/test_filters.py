@@ -352,6 +352,24 @@ class TestForecastOnly:
         assert np.array_equal(out, expected)
 
 
+class TestEnkfNoiseFactor:
+    def test_perturbations_reuse_the_factor_of_r(self, monkeypatch):
+        model, obs_op, _, _, _, x0, rng = lorenz_setup(seed=35)
+        R = np.diag(rng.uniform(0.5, 2.0, obs_op.m))
+        params = EnkfParams(R=R, n_ens=6)
+        members = x0 + 0.3 * rng.standard_normal((6, 40))
+        y = obs_op.observe(x0)
+        before = enkf_cycle(members, y, model, obs_op, params, np.random.default_rng(5))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("np.linalg.cholesky called during the cycle")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        after = enkf_cycle(members, y, model, obs_op, params, np.random.default_rng(5))
+        assert np.array_equal(after, before)
+        assert not params.R.flags.writeable and not params.r_factor.flags.writeable
+
+
 class TestGaspariCohn:
     def test_endpoints(self):
         assert gaspari_cohn(0.0, 4.0) == 1.0
@@ -583,7 +601,6 @@ class TestGainPathSelection:
 
         monkeypatch.setattr(filters, "band_gain", counted)
         forbid(monkeypatch, np.linalg, "solve")
-        forbid(monkeypatch, filters, "local_sum_columns")
         forbid(monkeypatch, SparseSymMatrix, "dense_columns")
         for _ in range(3):
             y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)

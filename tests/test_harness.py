@@ -252,6 +252,7 @@ class TestConfig:
         dict(filter="dense_ukf", kappa=-40.0),
         dict(filter="enkf", loc_radius=0.0),
         dict(filter="enkf", r_scale=0.0),
+        dict(master_seed=-1),
     ])
     def test_configurations_that_cannot_run_are_rejected(self, overrides):
         with pytest.raises(ConfigError):
@@ -377,9 +378,21 @@ class TestCli:
         ["--kappa", "-50"],
         ["--filter", "enkf", "--loc-radius", "0"],
         ["--filter", "enkf", "--r-scale", "0"],
+        ["--master-seed", "-1"],
     ])
     def test_configurations_that_cannot_run_exit_2(self, flags, capsys):
         code = main(["bench", *flags, "--n-steps", "5", "--n-replicates", "2", "--workers", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["truth", "--master-seed", "-3"],
+        ["run", "--replicate", "-1"],
+    ])
+    def test_negative_seed_or_replicate_exits_2(self, argv, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)  # where truth would write its default truth.csv
+        code = main([*argv, "--n-steps", "5"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

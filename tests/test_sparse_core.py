@@ -16,8 +16,6 @@ from sparsekf.sparse_core import (
     gain_layout,
     incomplete_cholesky,
     local_outer_sum,
-    local_sum_band,
-    local_sum_columns,
     min_eigenvalue,
     restricted_outer_accumulate,
     restricted_product,
@@ -192,6 +190,16 @@ class TestOffsetOrder:
         for cols in (np.arange(0, n, 2), np.arange(n)[::-1]):
             assert np.array_equal(M.dense_columns(cols), D[:, cols])
 
+    def test_columns_read_an_antipodal_slot_as_to_dense_writes(self):
+        # n = 2h: slots (1, 3) and (4, 3) both hold the pair {1, 4}; column
+        # j reads slot (j, 3) at row j + 3, as to_dense writes it
+        p = SparsityPattern(6, 3)
+        band = np.zeros((6, 4))
+        band[1, 3], band[4, 3] = 1.0, 2.0
+        M = SparseSymMatrix(p, band)
+        assert np.array_equal(M.dense_columns([1, 4]), M.to_dense()[:, [1, 4]])
+        assert M.dense_columns([1, 4])[[4, 1], [0, 1]].tolist() == [1.0, 2.0]
+
     @pytest.mark.parametrize("n,h", PATTERNS)
     def test_from_columns_is_m_plus_m_transpose(self, n, h):
         p = SparsityPattern(n, h)
@@ -220,11 +228,13 @@ class TestLocalOuterSum:
         p = SparsityPattern(n, h)
         V = rng.normal(size=(2, n, p.nsp))
         A = self.dense_sum(V, 0.3, p)
-        got = local_sum_band(local_outer_sum(V, 0.3, p), p)
+        got = local_outer_sum(V, 0.3, p)
+        wide = SparsityPattern(n, min(2 * h, n // 2))
+        assert got.pattern == wide
         scale = np.abs(A).max() + 1.0
-        assert np.abs(got.to_dense() - np.where(dense_mask(p), A, 0.0)).max() <= 1e-13 * scale
+        assert np.abs(got.to_dense() - np.where(dense_mask(wide), A, 0.0)).max() <= 1e-13 * scale
         expected = SparseSymMatrix.from_dense(A, p).band
-        assert np.abs(got.band - expected).max() <= 1e-13 * scale
+        assert np.abs(got.band[:, :h + 1] - expected).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("n,h", PATTERNS)
     def test_columns_match_dense(self, n, h):
@@ -232,17 +242,16 @@ class TestLocalOuterSum:
         p = SparsityPattern(n, h)
         V = rng.normal(size=(3, n, p.nsp))
         A = self.dense_sum(V, 1.7, p)
-        D = local_outer_sum(V, 1.7, p)
+        got = local_outer_sum(V, 1.7, p)
         for cols in (np.arange(0, n, 2), np.arange(n), np.unique([n - 1, 0])):
-            got = local_sum_columns(D, p, cols)
-            assert got.shape == (n, cols.size)
-            assert np.abs(got - A[:, cols]).max() <= 1e-13 * (np.abs(A).max() + 1.0)
+            columns = got.dense_columns(cols)
+            assert columns.shape == (n, cols.size)
+            assert np.abs(columns - A[:, cols]).max() <= 1e-13 * (np.abs(A).max() + 1.0)
 
     def test_columns_reach_twice_the_half_bandwidth(self):
         # entries at cyclic distance h+1..2h are outside the pattern but in A
         p = SparsityPattern(20, 2)
-        D = local_outer_sum(np.ones((1, 20, p.nsp)), 1.0, p)
-        cols = local_sum_columns(D, p, np.arange(20))
+        cols = local_outer_sum(np.ones((1, 20, p.nsp)), 1.0, p).dense_columns(np.arange(20))
         dist = np.minimum(np.arange(20), 20 - np.arange(20))
         assert np.array_equal(cols[0], np.where(dist <= 4, 5.0 - dist, 0.0))
 
@@ -507,12 +516,12 @@ class TestGainLayout:
         oi = first + stride * np.arange(n // stride)
         layout = gain_layout(n, k, h, oi)
         dense = A.to_dense()
-        rows = layout.local_rows(A.band)
+        rows = layout.local_rows(A)
         C = np.zeros((n, oi.size))
         np.add.at(C, (np.arange(n)[:, None], layout.windows), rows)
         assert np.array_equal(C, dense[:, oi])
         r = rng.uniform(0.5, 1.5, oi.size)
-        assert np.array_equal(layout.observed(A.band, r).to_dense(),
+        assert np.array_equal(layout.observed(A, r).to_dense(),
                               dense[np.ix_(oi, oi)] + np.diag(r))
 
 
@@ -524,17 +533,18 @@ class TestBandGain:
         oi = first + stride * np.arange(n // stride)
         layout = gain_layout(n, k, h, oi)
         V = rng.normal(size=(3, n, 2 * k + 1))
-        A = local_sum_band(local_outer_sum(V, 0.1, SparsityPattern(n, k)), SparsityPattern(n, k))
-        M = layout.observed(A.band, rng.uniform(0.5, 1.5, oi.size))
-        check_gain(M, layout.local_rows(A.band), layout,
+        p = SparsityPattern(n, k)
+        A = SparseSymMatrix(p, local_outer_sum(V, 0.1, p).band[:, :k + 1])
+        M = layout.observed(A, rng.uniform(0.5, 1.5, oi.size))
+        check_gain(M, layout.local_rows(A), layout,
                    [rng.normal(size=oi.size), rng.normal(size=oi.size)])
 
     def test_not_positive_definite_raises(self):
         layout = gain_layout(640, 3, 3, np.arange(0, 640, 2))
         A = SparseSymMatrix.identity(SparsityPattern(640, 3))
-        M = layout.observed(A.band, np.full(320, -2.0))
+        M = layout.observed(A, np.full(320, -2.0))
         with pytest.raises(np.linalg.LinAlgError):
-            band_gain(M, layout.local_rows(A.band), layout, [np.ones(320)])
+            band_gain(M, layout.local_rows(A), layout, [np.ones(320)])
 
     def test_recorded_runs_match_dense_solve(self, recorded_gains):
         # M = A[oi, oi] + R and C = A[:, oi] of the sparse UKF (whose Pyy and
