@@ -343,9 +343,8 @@ def sparse_ukf_cycle(state, y_obs, model, obs_op, params):
 
     # Step 1: sigma points and forecast
     factor, jitter = incomplete_cholesky(state.Pa, n + params.kappa)
-    F = factor.values.ravel()[pattern.offset_order]
     xb0 = model.step(state.xa)
-    S = step_columns(model, state.xa, pattern, np.stack([F, -F]))
+    S = step_columns(model, state.xa, pattern, np.stack([factor.values, -factor.values]))
     S -= xb0[pattern.offset_columns]  # (2, n, nsp) local deviations
 
     # Step 2: background covariances from the local deviations

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -67,6 +67,11 @@ class ExperimentConfig:
     obs_interval: int = 1
 
     def validate(self):
+        # NaN fails every comparison below, so it would pass them all
+        bad = [f.name for f in fields(self) if f.type == "float"
+               and not math.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ConfigError(f"{', '.join(bad)} must be finite")
         if self.n < 4:
             raise ConfigError(f"n must be >= 4, got {self.n}")
         if self.filter not in FILTERS:

@@ -6,9 +6,11 @@ The pattern never grows: products evaluate admissible entries only, and the
 factorization discards any fill-in from its output.
 
 Contents:
-  - SparsityPattern: cyclic-band admissibility rule and per-column index sets
+  - SparsityPattern: cyclic-band admissibility rule and per-column index
+    sets in offset order, with which every column-local (n, nsp) array aligns
   - SparseSymMatrix: a symmetric matrix stored as its band
-  - SparseColumns: the pattern columns of a factor (the sigma-point offsets)
+  - SparseColumns: the pattern columns of a factor (the sigma-point
+    perturbations), in offset order
   - restricted_outer_accumulate / restricted_product: pattern-limited products
   - local_outer_sum: the sum of outer products of column-local vectors, a
     band of twice the half bandwidth
@@ -69,22 +71,13 @@ class SparsityPattern:
         # (n, nsp): row i = column i indices in offset order, i.e. i + offsets
         # (mod n); consecutive entries are cyclic neighbours.
         self.offset_columns = (np.arange(n)[:, None] + offsets[None, :]) % n
-        self.columns = np.sort(self.offset_columns, axis=1)  # row i = column i, sorted
         # (n, h+1): column (i + d) mod n of band slot (i, d), see SparseSymMatrix
         self.band_columns = (np.arange(n)[:, None] + np.arange(h + 1)[None, :]) % n
 
     @property
     def nsp(self):
         """Number of admissible entries per column."""
-        return self.columns.shape[1]
-
-    @cached_property
-    def offset_order(self):
-        """Flat indices that reorder (n, nsp) values aligned with ``columns``
-        into offset order: ``values.ravel()[offset_order]`` is aligned with
-        ``offset_columns``."""
-        rank = np.argsort(np.argsort(self.offset_columns, axis=1), axis=1)
-        return _read_only(np.arange(self.n)[:, None] * self.nsp + rank)
+        return self.offsets.size
 
     @cached_property
     def column_slots(self):
@@ -93,10 +86,8 @@ class SparsityPattern:
         ``band.ravel()[column_slots][i, k]`` is the value that ``to_dense``
         puts at row ``offset_columns[i, k]`` of column i.
         """
-        n, h = self.n, self.half_bandwidth
-        i = np.arange(n)[:, None]
-        off = self.offsets[None, :]
-        return _read_only(np.where(off >= 0, i * (h + 1) + off, ((i + off) % n) * (h + 1) - off))
+        return _read_only(_band_index(self.n, self.half_bandwidth, np.arange(self.n)[:, None],
+                                      self.offset_columns))
 
     def __eq__(self, other):
         return (
@@ -139,15 +130,11 @@ class SparseSymMatrix:
     def from_dense(cls, dense, pattern):
         """Pattern-restricted (and symmetrized) copy of a dense matrix."""
         dense = np.asarray(dense, dtype=float)
-        n, h = pattern.n, pattern.half_bandwidth
+        n = pattern.n
         if dense.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got {dense.shape}")
-        band = np.empty((n, h + 1))
-        idx = np.arange(n)
-        for d in range(h + 1):
-            j = (idx + d) % n
-            band[:, d] = 0.5 * (dense[idx, j] + dense[j, idx])
-        return cls(pattern, band)
+        i, j = np.arange(n)[:, None], pattern.band_columns
+        return cls(pattern, 0.5 * (dense[i, j] + dense[j, i]))
 
     @classmethod
     def from_columns(cls, C, pattern):
@@ -171,13 +158,13 @@ class SparseSymMatrix:
         return _take(self, _column_index(self.n, self.pattern.half_bandwidth, cols.tobytes()))
 
     def to_dense(self):
-        n, h = self.pattern.n, self.pattern.half_bandwidth
+        """Dense n x n matrix. An antipodal pair {i, i+h} (n = 2h) has two
+        slots; entry (r, c) holds slot (c, h), as ``dense_columns`` reads it."""
+        n = self.n
+        i, j = np.arange(n)[:, None], self.pattern.band_columns
         out = np.zeros((n, n))
-        idx = np.arange(n)
-        for d in range(h + 1):
-            j = (idx + d) % n
-            out[idx, j] = self.band[:, d]
-            out[j, idx] = self.band[:, d]
+        out[i, j] = self.band
+        out[j, i] = self.band  # written last, so it decides an antipodal pair
         return out
 
     def add_scaled_identity(self, c):
@@ -202,7 +189,7 @@ class SparseColumns:
     """A set of n sparse column vectors sharing one pattern.
 
     Column i is supported on the pattern's column-i index set; ``values[i]``
-    is aligned with ``pattern.columns[i]``.
+    is in offset order, aligned with ``pattern.offset_columns[i]``.
     """
 
     __slots__ = ("pattern", "values")
@@ -210,23 +197,21 @@ class SparseColumns:
     def __init__(self, pattern, values):
         self.pattern = pattern
         values = np.asarray(values, dtype=float)
-        if values.shape != pattern.columns.shape:
-            raise ValueError(
-                f"values must have shape {pattern.columns.shape}, got {values.shape}"
-            )
+        expected = pattern.offset_columns.shape
+        if values.shape != expected:
+            raise ValueError(f"values must have shape {expected}, got {values.shape}")
         self.values = values
 
     @classmethod
     def from_dense(cls, dense, pattern):
         """Extract pattern-column entries of a dense matrix (column i of each)."""
         dense = np.asarray(dense, dtype=float)
-        vals = dense[pattern.columns, np.arange(pattern.n)[:, None]]
-        return cls(pattern, vals)
+        return cls(pattern, dense[pattern.offset_columns, np.arange(pattern.n)[:, None]])
 
     def to_dense(self):
         n = self.pattern.n
         out = np.zeros((n, n))
-        out[self.pattern.columns, np.arange(n)[:, None]] = self.values
+        out[self.pattern.offset_columns, np.arange(n)[:, None]] = self.values
         return out
 
 
@@ -455,7 +440,7 @@ def _block_layout(n, h, b):
     and the couplings of block k+1 to block k below the last block; ``last``
     (bl, n) indexes the last block row. ``restrict`` (n, nsp) indexes the
     concatenation of the factor's diag, sub and last arrays (plus a zero)
-    at the pattern entries of every column, aligned with ``columns``.
+    at the pattern entries of every column, aligned with ``offset_columns``.
     """
     N = n // b
     top = (N - 1) * b  # first row of the last block
@@ -466,7 +451,7 @@ def _block_layout(n, h, b):
     sub = _band_index(n, h, (k[:-1] + 1) * b + r, k[:-1] * b + c)
     last = _band_index(n, h, np.arange(top, n)[:, None], np.arange(n)[None, :])
 
-    row = SparsityPattern(n, h).columns
+    row = SparsityPattern(n, h).offset_columns
     col = np.broadcast_to(np.arange(n)[:, None], row.shape)
     zero = (N - 1) * b * b + (N - 2) * b * b + (n - top) * n
     restrict = np.where(row >= col, _block_entry(n, b, row, col), zero)
@@ -568,7 +553,8 @@ class CyclicBandCholesky:
         return inv, forward, backward, _tril_inverse(self.last[None, :, self._top:])[0]
 
     def pattern_values(self):
-        """(n, nsp) factor entries at the pattern, aligned with ``pattern.columns``."""
+        """(n, nsp) factor entries at the pattern, in offset order (aligned
+        with ``pattern.offset_columns``)."""
         flat = np.concatenate([self.diag.ravel(), self.sub.ravel(), self.last.ravel(), [0.0]])
         return flat[self._restrict]
 
@@ -656,7 +642,8 @@ def incomplete_cholesky(P, scale=1.0):
     Returns
     -------
     (L, jitter) : (SparseColumns, float)
-        Factor columns (the sigma-point perturbation vectors) and the jitter
+        Factor columns in offset order (the sigma-point perturbation
+        vectors, aligned with ``pattern.offset_columns``) and the jitter
         that was finally applied (0.0 when none was needed).
     """
     if scale <= 0.0:
@@ -715,7 +702,6 @@ def _certified_min_eigenvalue(P):
     """(lambda_min, factorizations) on the structured path; lambda_min is
     None when EIGEN_FACTORIZATIONS were spent without a certificate."""
     band = P.band
-    _check_finite(band)
     scale = float(np.abs(band).max())
     if scale == 0.0:
         return 0.0, 0
@@ -798,11 +784,12 @@ def min_eigenvalue(P, info=None):
     lambda_min lies in [theta - eps, theta]. A certificate that fails moves
     sigma up towards lambda_min. Past EIGEN_FACTORIZATIONS factorizations
     the dense ``eigvalsh`` decides. Non-finite input raises
-    FactorizationError on this path.
+    FactorizationError on both paths.
 
     If ``info`` is a dict, ``info["factorizations"]`` is set to the number
     of factorizations made (0 on the dense path).
     """
+    _check_finite(P.band)
     lam, count = None, 0
     if uses_structured_path(P.n, P.pattern.half_bandwidth):
         lam, count = _certified_min_eigenvalue(P)

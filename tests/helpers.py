@@ -99,7 +99,7 @@ def dense_path_sparse_ukf_cycle(state, y_obs, model, obs_op, params):
     D, jitter = dense_pattern_factor(state.Pa, n + params.kappa)
     xb0 = model.step(state.xa)
     sigma = np.concatenate([state.xa + D.T, state.xa - D.T])  # (2n, n)
-    out_idx = np.concatenate([pattern.columns, pattern.columns])
+    out_idx = np.concatenate([pattern.offset_columns, pattern.offset_columns])
     vals = model.step_components_many(sigma, out_idx)
 
     merged = np.tile(xb0, (2 * n + 1, 1))
@@ -136,7 +136,7 @@ def dense_path_progressive_ekf_cycle(state, y_obs, model, obs_op, params):
     """Progressive-EKF cycle computed through full-state probes and n x n G."""
     n = model.n
     pattern = params.pattern
-    cols = pattern.columns
+    cols = pattern.offset_columns
     delta = params.delta
     sub_dt = model.dt / params.n_p
     col_rows = np.arange(n)[:, None]

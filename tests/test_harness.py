@@ -253,6 +253,11 @@ class TestConfig:
         dict(filter="enkf", loc_radius=0.0),
         dict(filter="enkf", r_scale=0.0),
         dict(master_seed=-1),
+        dict(filter="enkf", loc_radius=float("nan")),
+        dict(q=float("nan")),
+        dict(dt=float("inf")),
+        *(dict(**{name: float("nan")}) for name in (
+            "forcing", "r_scale", "p0", "delta", "inflation", "kappa")),
     ])
     def test_configurations_that_cannot_run_are_rejected(self, overrides):
         with pytest.raises(ConfigError):
@@ -364,6 +369,13 @@ class TestCli:
         code = main(["run", "--config", str(cfgfile), "--n-steps", "8"])
         assert code == 0
 
+    def test_non_finite_config_file_value_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "nan.cfg"
+        cfgfile.write_text("filter = enkf\nloc_radius = nan\n")
+        code = main(["run", "--config", str(cfgfile), "--n-steps", "5"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: loc_radius must be finite\n"
+
     def test_unknown_config_key_fails(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("nonsense = 1\n")
@@ -379,6 +391,9 @@ class TestCli:
         ["--filter", "enkf", "--loc-radius", "0"],
         ["--filter", "enkf", "--r-scale", "0"],
         ["--master-seed", "-1"],
+        ["--filter", "enkf", "--loc-radius", "nan"],
+        ["--q", "nan"],
+        ["--dt", "inf"],
     ])
     def test_configurations_that_cannot_run_exit_2(self, flags, capsys):
         code = main(["bench", *flags, "--n-steps", "5", "--n-replicates", "2", "--workers", "1"])

@@ -41,24 +41,24 @@ class TestSparsityPattern:
         p = SparsityPattern(40, 3)
         assert p.nsp == 7
         for i in range(40):
-            cols = p.columns[i]
-            assert cols.size == 7
+            cols = p.offset_columns[i]
+            assert np.unique(cols).size == 7
             assert i in cols
             for j in cols:
-                assert i in p.columns[j]
+                assert i in p.offset_columns[j]
 
     def test_membership_rule_is_cyclic(self):
         p = SparsityPattern(10, 2)
-        assert 9 in p.columns[0] and 8 in p.columns[0]
-        assert 7 not in p.columns[0]
-        assert 1 in p.columns[9]
+        assert 9 in p.offset_columns[0] and 8 in p.offset_columns[0]
+        assert 7 not in p.offset_columns[0]
+        assert 1 in p.offset_columns[9]
 
     @pytest.mark.parametrize("n", [5, 6, 7, 12])
     def test_full_pattern_covers_everything(self, n):
         p = SparsityPattern(n, n // 2)
         assert p.nsp == n
         for i in range(n):
-            assert np.array_equal(p.columns[i], np.arange(n))
+            assert np.array_equal(np.sort(p.offset_columns[i]), np.arange(n))
 
     def test_invalid_bandwidth(self):
         with pytest.raises(ValueError):
@@ -172,14 +172,36 @@ def scatter_columns(C, pattern):
 class TestOffsetOrder:
     @pytest.mark.parametrize("n,h", PATTERNS)
     def test_offset_columns_are_the_sorted_columns_reordered(self, n, h):
+        # sorted, row i of offset_columns is the admissible set of column i
         p = SparsityPattern(n, h)
-        assert np.array_equal(np.sort(p.offset_columns, axis=1), p.columns)
+        mask = dense_mask(p)
+        assert np.array_equal(np.sort(p.offset_columns, axis=1),
+                              [np.flatnonzero(mask[:, i]) for i in range(n)])
         assert np.array_equal(p.offset_columns[:, 0], (np.arange(n) + p.offsets[0]) % n)
-        vals = np.arange(n * p.nsp, dtype=float).reshape(n, p.nsp)
-        dense = scatter_columns(vals.ravel()[p.offset_order], p)
-        sorted_dense = np.zeros((n, n))
-        sorted_dense[p.columns, np.arange(n)[:, None]] = vals
-        assert np.array_equal(dense, sorted_dense)
+
+    @pytest.mark.parametrize("n,h", PATTERNS + [(8, 4)])
+    def test_slot_rules_match_the_per_diagonal_oracles(self, n, h):
+        # the per-diagonal loops and the column_slots formula that the
+        # band_columns gathers and _band_index replaced; the antipodal slots
+        # (i, h) and (i + h, h) of an even full pattern hold different values
+        p = SparsityPattern(n, h)
+        rng = np.random.default_rng(10 * n + h)
+        band = rng.normal(size=(n, h + 1))
+        dense_in = rng.normal(size=(n, n))
+        idx = np.arange(n)
+        old_dense = np.zeros((n, n))
+        old_band = np.empty((n, h + 1))
+        for d in range(h + 1):
+            j = (idx + d) % n
+            old_dense[idx, j] = band[:, d]
+            old_dense[j, idx] = band[:, d]
+            old_band[:, d] = 0.5 * (dense_in[idx, j] + dense_in[j, idx])
+        off = p.offsets[None, :]
+        old_slots = np.where(off >= 0, idx[:, None] * (h + 1) + off,
+                             ((idx[:, None] + off) % n) * (h + 1) - off)
+        assert np.array_equal(SparseSymMatrix(p, band).to_dense(), old_dense)
+        assert np.array_equal(SparseSymMatrix.from_dense(dense_in, p).band, old_band)
+        assert np.array_equal(p.column_slots, old_slots)
 
     @pytest.mark.parametrize("n,h", PATTERNS)
     def test_columns_read_what_to_dense_writes(self, n, h):
@@ -360,6 +382,14 @@ class TestMinEigenvalue:
     def test_identity(self):
         P = SparseSymMatrix.identity(SparsityPattern(4, 1))
         assert min_eigenvalue(P) == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_finite_input_raises_on_the_dense_path(self):
+        # eigvalsh itself raises LinAlgError here; the same fault gets the
+        # structured path's class
+        P = SparseSymMatrix.identity(SparsityPattern(40, 3))
+        P.band[7, 0] = np.nan
+        with pytest.raises(FactorizationError):
+            min_eigenvalue(P)
 
     def test_indefinite_diagonal(self):
         p = SparsityPattern(2, 0)
@@ -700,10 +730,12 @@ class TestRestrictedProduct:
 class TestSparseColumns:
     def test_column_extraction(self):
         p = SparsityPattern(6, 1)
-        D = np.zeros((6, 6))
-        D[p.columns, np.arange(6)[:, None]] = 1.0
+        D = np.arange(36.0).reshape(6, 6) * dense_mask(p)
         cols = SparseColumns.from_dense(D, p)
-        assert np.array_equal(cols.values, np.ones((6, 3)))
+        # column i at rows i - 1, i, i + 1 (mod 6): offset order
+        i = np.arange(6)
+        assert np.array_equal(cols.values, np.stack([D[(i - 1) % 6, i], D[i, i],
+                                                     D[(i + 1) % 6, i]], axis=1))
         assert np.array_equal(cols.to_dense(), D)
 
     def test_shape_validation(self):
