@@ -20,7 +20,7 @@ import numpy as np
 
 from .models import step_columns
 from .sparse_core import (
-    CyclicBandCholesky,
+    CyclicReduction,
     FactorizationError,
     SparseSymMatrix,
     band_gain,
@@ -218,7 +218,7 @@ def _gamma_repair(E):
     if uses_structured_path(E.n, E.pattern.half_bandwidth):
         factorizations = 1
         try:
-            CyclicBandCholesky(E, shift=-PD_FLOOR * float(np.abs(E.band).max()))
+            CyclicReduction(E, shift=-PD_FLOOR * float(np.abs(E.band).max()))
             return E, 0.0, factorizations
         except np.linalg.LinAlgError:
             pass

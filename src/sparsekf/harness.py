@@ -379,13 +379,16 @@ def _worker(args):
 
 
 def default_workers():
-    """Worker count from SPARSEKF_WORKERS, else the available parallelism."""
+    """Worker count from SPARSEKF_WORKERS, else the CPUs this process may
+    run on (its affinity mask where the platform has one)."""
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import sparsekf.filters as filters
 import sparsekf.harness as harness
+import sparsekf.sparse_core as sparse_core
 from helpers import (
     LinearModel,
     dense_gamma_repair,
@@ -625,6 +626,24 @@ class TestGainPathSelection:
         new = cycle(state, y, model, obs_op, params)
         assert calls
         assert_matches_oracle(new, oracle(state, y, model, obs_op, params))
+
+
+class TestSmallRingsMakeNoStructuredFactor:
+    """The desk-n40 and wideband-n160 configurations of the benchmark factor
+    nothing on a band: their repairs, eigenvalues, sigma points and gains
+    all stay dense."""
+
+    @pytest.mark.parametrize("name,n,nsp,n_p", [
+        ("sparse_ukf", 40, 7, 1), ("progressive_ekf", 40, 11, 2),  # desk-n40
+        ("sparse_ukf", 160, 41, 1), ("progressive_ekf", 160, 41, 2),  # wideband-n160
+    ])
+    def test_no_band_factor_is_constructed(self, monkeypatch, name, n, nsp, n_p):
+        for owner, factor in [(sparse_core, "CyclicReduction"), (sparse_core, "CyclicBandCholesky"),
+                              (filters, "CyclicReduction")]:
+            forbid(monkeypatch, owner, factor)
+        config = harness.ExperimentConfig(filter=name, n=n, nsp=nsp, n_p=n_p, n_steps=5,
+                                          n_replicates=1, master_seed=66)
+        assert not harness.run_replicate(config.validate(), 0).failed
 
 
 class TestStructuredGain:

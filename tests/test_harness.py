@@ -234,6 +234,26 @@ class TestRunExperiment:
         assert s.stats is None and s.n_failed == 2
 
 
+class TestDefaultWorkers:
+    def test_counts_the_cpus_of_the_affinity_mask(self, monkeypatch):
+        # a process pinned to one core of a larger host starts one worker
+        monkeypatch.delenv("SPARSEKF_WORKERS", raising=False)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        assert harness.default_workers() == 1
+
+    def test_environment_variable_wins(self, monkeypatch):
+        monkeypatch.setenv("SPARSEKF_WORKERS", "3")
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert harness.default_workers() == 3
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delenv("SPARSEKF_WORKERS", raising=False)
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 5)
+        assert harness.default_workers() == 5
+
+
 class TestConfig:
     def test_validation_errors(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,7 @@
 """Pattern, container and kernel tests for the sparse symmetric core."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import sparsekf.filters as filters
 import sparsekf.harness as harness
 from sparsekf.sparse_core import (
     CyclicBandCholesky,
+    CyclicReduction,
     FactorizationError,
     SparseColumns,
     SparseSymMatrix,
@@ -456,14 +459,6 @@ class TestCyclicBandCholesky:
         assert np.abs(L.to_dense() - np.linalg.cholesky(A)).max() <= 1e-12 * np.abs(A).max()
 
     @pytest.mark.parametrize("n,h", STRUCTURED)
-    def test_solve(self, n, h):
-        rng = np.random.default_rng(3 * n + h)
-        P = random_band_spd(rng, n, h)
-        v = rng.normal(size=n)
-        x = CyclicBandCholesky(P).solve(v)
-        assert np.abs(x - np.linalg.solve(P.to_dense(), v)).max() <= 1e-10
-
-    @pytest.mark.parametrize("n,h", STRUCTURED)
     def test_failure_certifies_not_positive_definite(self, n, h):
         rng = np.random.default_rng(4 * n + h)
         P = random_band_spd(rng, n, h, floor=0.0)
@@ -478,28 +473,98 @@ class TestCyclicBandCholesky:
             CyclicBandCholesky(P)
 
 
+class TestCyclicReduction:
+    @pytest.mark.parametrize("n,h", STRUCTURED)
+    def test_permuted_factor_reproduces_the_matrix(self, n, h):
+        rng = np.random.default_rng(8 * n + h)
+        P = random_band_spd(rng, n, h)
+        A = 3.0 * P.to_dense() + 0.5 * np.eye(n)
+        L, order = CyclicReduction(P, scale=3.0, shift=0.5).to_dense()
+        assert np.array_equal(np.sort(order), np.arange(n))
+        assert np.array_equal(L, np.tril(L))
+        assert np.abs(L @ L.T - A[np.ix_(order, order)]).max() <= 1e-12 * np.abs(A).max()
+
+    @pytest.mark.parametrize("n,h", STRUCTURED)
+    def test_solve(self, n, h):
+        rng = np.random.default_rng(3 * n + h)
+        P = random_band_spd(rng, n, h)
+        v = rng.normal(size=n)
+        x = CyclicReduction(P).solve(v)
+        assert np.abs(x - np.linalg.solve(P.to_dense(), v)).max() <= 1e-10
+
+    @pytest.mark.parametrize("n,h", STRUCTURED)
+    def test_solve_several_right_hand_sides(self, n, h):
+        rng = np.random.default_rng(9 * n + h)
+        P = random_band_spd(rng, n, h)
+        V = rng.normal(size=(n, 3))
+        F = CyclicReduction(P)
+        X = F.solve(V)
+        assert X.shape == (n, 3)
+        assert np.abs(X - np.linalg.solve(P.to_dense(), V)).max() <= 1e-10
+        assert np.abs(X[:, 1] - F.solve(V[:, 1])).max() <= 1e-12 * np.abs(X).max()
+
+    @pytest.mark.parametrize("n,h", STRUCTURED)
+    def test_failure_certifies_not_positive_definite(self, n, h):
+        rng = np.random.default_rng(4 * n + h)
+        P = random_band_spd(rng, n, h, floor=0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            CyclicReduction(P, shift=-1e-6)  # smallest eigenvalue -1e-6
+        CyclicReduction(P, shift=1e-6)
+
+    @pytest.mark.parametrize("n,h", STRUCTURED)
+    def test_non_finite_input_raises(self, n, h):
+        P = SparseSymMatrix.identity(SparsityPattern(n, h))
+        P.band[100, h] = np.inf
+        with pytest.raises(FactorizationError):
+            CyclicReduction(P)
+
+    def test_memory_is_linear_in_n(self):
+        # at n = 10240 one n x n array would take 839 MB
+        n, h = 10240, 3
+        rng = np.random.default_rng(11)
+        band = rng.normal(size=(n, h + 1))
+        band[:, 0] = 2.0 * h + 1.0 + rng.uniform(size=n)  # diagonally dominant
+        P = SparseSymMatrix(SparsityPattern(n, h), band)
+        v = rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            F = CyclicReduction(P)
+            factor = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            x = F.solve(v)
+            solve = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            F.selected_inverse()
+            selected = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(factor, solve, selected) < 64 * 2**20, (factor, solve, selected)
+        rows, cols = P.column_values(), P.pattern.offset_columns
+        residual = np.einsum("ij,ij->i", rows, x[cols]) - v  # band matvec
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(v)
+
+
 class TestSelectedInverse:
-    """Every returned block of (L L^T)^-1 against the dense inverse. With
-    32-row blocks the last block has 32 (m = 256), 44, 45 and 63 = 2b - 1
-    (m = 319) rows."""
+    """Every returned block of (L L^T)^-1 against the dense inverse. m = 300,
+    319 and 333 do not divide into blocks of b rows, so their blocks carry
+    padding."""
 
     @pytest.mark.parametrize("m", [256, 300, 319, 333])
     @pytest.mark.parametrize("w", [5, 8, 32])
     def test_matches_dense_inverse(self, m, w):
         rng = np.random.default_rng(6 * m + w)
-        F = CyclicBandCholesky(random_band_spd(rng, m, w))
-        L = F.to_dense()
-        Z = np.linalg.inv(L @ L.T)
-        diag, sub, last = F.selected_inverse()
-        b = diag.shape[1]
-        top = m - last.shape[0]
-        assert diag.shape == ((top // b), b, b) and sub.shape == (top // b - 1, b, b)
+        A = random_band_spd(rng, m, w)
+        F = CyclicReduction(A)
+        Z = np.linalg.inv(A.to_dense())
+        diag, sub = F.selected_inverse()
+        N, p = F.rows.shape
+        assert diag.shape == sub.shape == (N, p, p)
         tol = 1e-12 * np.abs(Z).max()
-        for k in range(top // b):
-            assert np.abs(diag[k] - Z[k * b:(k + 1) * b, k * b:(k + 1) * b]).max() <= tol
-        for k in range(top // b - 1):
-            assert np.abs(sub[k] - Z[(k + 1) * b:(k + 2) * b, k * b:(k + 1) * b]).max() <= tol
-        assert np.abs(last - Z[top:]).max() <= tol
+        for k in range(N):
+            rows, below = F.rows[k], F.rows[(k + 1) % N]  # sub[N-1] is Z[0, N-1]
+            r, c = rows >= 0, below >= 0
+            assert np.abs(diag[k][np.ix_(r, r)] - Z[np.ix_(rows[r], rows[r])]).max() <= tol
+            assert np.abs(sub[k][np.ix_(c, r)] - Z[np.ix_(below[c], rows[r])]).max() <= tol
 
 
 def dense_gain(M, rows, layout, rhs):
