@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands:
-  truth   generate and write a truth trajectory
+  truth   write the truth trajectory of replicate 0
   run     run a single replicate with verbose per-cycle diagnostics
   bench   run a full experiment and write run/summary CSVs
   table   run a preset group of configurations and print a summary table
@@ -16,12 +16,11 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
 from .harness import (
     ConfigError,
     ExperimentConfig,
     generate_truth,
+    replicate_seeds,
     run_experiment,
     run_replicate,
     write_runs_csv,
@@ -75,7 +74,7 @@ def build_config(args):
 
 def _cmd_truth(args):
     config = build_config(args)
-    traj = generate_truth(config, np.random.SeedSequence(config.master_seed))
+    traj = generate_truth(config, replicate_seeds(config, 0)[0])
     with open(args.out, "w") as f:
         f.write("step," + ",".join(f"x{i}" for i in range(config.n)) + "\n")
         for k, row in enumerate(traj):
@@ -166,7 +165,7 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_truth = sub.add_parser("truth", help="emit a truth trajectory as CSV")
+    p_truth = sub.add_parser("truth", help="emit replicate 0's truth trajectory as CSV")
     _add_config_flags(p_truth)
     p_truth.add_argument("--out", default="truth.csv")
     p_truth.set_defaults(func=_cmd_truth)

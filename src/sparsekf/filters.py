@@ -8,12 +8,17 @@ magnitude of the smallest negative eigenvalue.
 
 Passing ``y_obs=None`` performs the forecast half of the cycle only (used
 when observations arrive less often than the model steps).
+
+The observation operator carries the noise covariance ``r I``
+(``obs_op.r``): the dense gains add r to the diagonal of Pyy or S, the
+structured gain to the diagonal of M, and the EnKF scales its observation
+perturbations by sqrt(r). No m x m noise matrix is formed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -86,51 +91,25 @@ def ukf_weights(n, kappa=0.0):
     return w
 
 
-def _frozen(a):
-    """A read-only float copy: params objects are shared by every cycle."""
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
-def _freeze_noise(params):
-    """Store a read-only copy of ``params.R`` and its diagonal ``r_diag``
-    (None if an entry off the diagonal is nonzero), which picks the gain
-    path and the nis formula."""
-    R = _frozen(params.R)
-    m = R.shape[0]
-    off = R.ravel()[1:].reshape(m - 1, m + 1)[:, :m]  # every off-diagonal entry
-    object.__setattr__(params, "R", R)
-    object.__setattr__(params, "r_diag", None if off.any() else R.diagonal())
-
-
 @dataclass(frozen=True)
 class UkfParams:
-    """Sparse-UKF parameters: pattern, scaling factor and noise covariances."""
+    """Sparse-UKF parameters: pattern, scaling factor and model noise."""
 
     pattern: object
-    R: np.ndarray
     kappa: float = 0.0
     Q: SparseSymMatrix | None = None
-    r_diag: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.Q is not None and self.Q.pattern != self.pattern:
             raise ValueError("Q must live on the filter pattern")
-        _freeze_noise(self)
 
 
 @dataclass(frozen=True)
 class DenseUkfParams:
     """Dense-UKF parameters; Q is a dense matrix or None."""
 
-    R: np.ndarray
     kappa: float = 0.0
     Q: np.ndarray | None = None
-    r_diag: np.ndarray | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _freeze_noise(self)
 
 
 @dataclass(frozen=True)
@@ -138,11 +117,9 @@ class ProgressiveParams:
     """Progressive-EKF parameters: finite-difference step and inner sub-steps."""
 
     pattern: object
-    R: np.ndarray
     delta: float = 1e-4
     n_p: int = 1
     Q: SparseSymMatrix | None = None
-    r_diag: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -151,7 +128,6 @@ class ProgressiveParams:
             raise ValueError("n_p must be >= 1")
         if self.Q is not None and self.Q.pattern != self.pattern:
             raise ValueError("Q must live on the filter pattern")
-        _freeze_noise(self)
 
 
 @dataclass(frozen=True)
@@ -164,19 +140,15 @@ class EnkfParams:
     members); tighter radii make the baseline markedly more stable.
     """
 
-    R: np.ndarray
     n_ens: int = 10
     loc_radius: float | None = 9.0
-    inflation: float = field(default=math.sqrt(1.08))
-    r_factor: np.ndarray = field(init=False, repr=False, compare=False)  # Cholesky factor of R
+    inflation: float = math.sqrt(1.08)
 
     def __post_init__(self):
         if self.n_ens < 2:
             raise ValueError("n_ens must be >= 2")
         if self.loc_radius is not None and self.loc_radius <= 0:
             raise ValueError("loc_radius must be positive (or None for no taper)")
-        object.__setattr__(self, "R", _frozen(self.R))
-        object.__setattr__(self, "r_factor", _frozen(np.linalg.cholesky(self.R)))
 
 
 def gaspari_cohn(dist, radius):
@@ -231,35 +203,33 @@ def _gamma_repair(E):
     return E, 0.0, factorizations
 
 
-def _structured_gain(A, pattern, obs_op, r, rhs):
+def _structured_gain(A, pattern, obs_op, rhs):
     """``band_gain`` on the cyclic band A observed by ``obs_op``, with M =
-    A[oi, oi] + diag(r) and the result on ``pattern``; None where the dense
-    gain applies instead: observations not a regular stride dividing n, an
-    observation space too small for ``uses_structured_path``, R not
-    diagonal (r None), or an M that does not factor (the dense solve then
-    decides)."""
-    if r is None:
-        return None
-    layout = gain_layout(A.n, A.pattern.half_bandwidth, pattern.half_bandwidth, obs_op.indices)
+    A[oi, oi] + r I and the result on ``pattern``; None where the dense
+    gain applies instead: a stride that does not divide n, an observation
+    space too small for ``uses_structured_path``, or an M that does not
+    factor (the dense solve then decides)."""
+    layout = gain_layout(A.n, A.pattern.half_bandwidth, pattern.half_bandwidth, obs_op.stride)
     if layout is None:
         return None
     try:
-        return band_gain(layout.observed(A, r), layout.local_rows(A), layout, rhs)
+        return band_gain(layout.observed(A, obs_op.r), layout.local_rows(A), layout, rhs)
     except (np.linalg.LinAlgError, FactorizationError):
         return None
 
 
 def _dense_gain(Pyy, Pxy, innov, oi, r):
-    """Gain K = Pxy Pyy^-1, K innov and Pyy^-1 innov from one dense solve.
+    """Gain K = Pxy Pyy^-1, K innov and Pyy^-1 innov from one dense solve,
+    once the noise r I is added to ``Pyy`` (in place).
 
-    The observed rows of Pxy are Pyy - R, so K[oi] = I - R Pyy^-1 and
-    Pyy^-1 innov = R^-1 (innov - (K innov)[oi]). A diagonal (``r``, the
-    params' ``r_diag``), nonsingular R needs nothing more; otherwise innov
-    joins the solve as one more right-hand side (measured at about 5 % of
-    an n = 160 cycle on a 2-core host with one BLAS thread, so it is kept
-    off the common case).
+    The observed rows of Pxy are Pyy - r I, so K[oi] = I - r Pyy^-1 and
+    Pyy^-1 innov = (innov - (K innov)[oi]) / r. For r = 0 innov joins the
+    solve as one more right-hand side instead (measured at about 5 % of an
+    n = 160 cycle on a 2-core host with one BLAS thread, so it is kept off
+    the common case).
     """
-    if r is not None and r.all():
+    Pyy.flat[::Pyy.shape[0] + 1] += r  # the diagonal, in place
+    if r != 0.0:
         K = np.linalg.solve(Pyy, Pxy.T).T
         Kd = K @ innov
         return K, Kd, (innov - Kd[oi]) / r
@@ -268,12 +238,12 @@ def _dense_gain(Pyy, Pxy, innov, oi, r):
     return K, K @ innov, X[:, -1]
 
 
-def _update(xb, Pb, A, innov, obs_op, params, sbar=None):
+def _update(xb, Pb, A, innov, obs_op, sbar=None):
     """Kalman update of the background (xb, Pb) by the innovation: (xa, E,
     nis), E the analysis covariance on Pb's pattern before the repair.
 
     The cross covariance is Pxy = C - sbar u^T with C = A[:, oi] and u =
-    sbar[oi], and Pyy = M - u u^T with M = A[oi, oi] + R. The progressive
+    sbar[oi], and Pyy = M - u u^T with M = A[oi, oi] + r I. The progressive
     EKF passes A = Pb and no sbar; the sparse UKF passes A = sum_k w_k S_k
     S_k^T and its mean deviation sbar. Where ``_structured_gain`` applies,
     no gain is formed: the band of C M^-1 C^T and C M^-1 [d, u] come from a
@@ -286,8 +256,7 @@ def _update(xb, Pb, A, innov, obs_op, params, sbar=None):
     pattern = Pb.pattern
     oi = obs_op.indices
     u = None if sbar is None else sbar[oi]
-    gain = _structured_gain(A, pattern, obs_op, params.r_diag,
-                            (innov,) if u is None else (innov, u))
+    gain = _structured_gain(A, pattern, obs_op, (innov,) if u is None else (innov, u))
     if gain is not None:
         CMC, (Cd, *Cu), (Md, *Mu) = gain  # band(C M^-1 C^T), C M^-1 [d, u], M^-1 [d, u]
         if u is None:
@@ -305,7 +274,7 @@ def _update(xb, Pb, A, innov, obs_op, params, sbar=None):
     Pxy = A.dense_columns(oi)
     if u is not None:
         Pxy -= np.outer(sbar, u)
-    K, Kd, Pyy_d = _dense_gain(Pxy[oi] + params.R, Pxy, innov, oi, params.r_diag)
+    K, Kd, Pyy_d = _dense_gain(Pxy[oi], Pxy, innov, oi, obs_op.r)
     return xb + Kd, Pb - restricted_product(K, Pxy.T, pattern), float(innov @ Pyy_d) / oi.size
 
 
@@ -362,7 +331,7 @@ def sparse_ukf_cycle(state, y_obs, model, obs_op, params):
     if y_obs is None:
         return _analysis(xb_mean, Pb, jitter, evals)
     innov = np.asarray(y_obs, dtype=float) - obs_op.observe(xb_mean)
-    xa, E, nis = _update(xb_mean, Pb, A, innov, obs_op, params, sbar)
+    xa, E, nis = _update(xb_mean, Pb, A, innov, obs_op, sbar)
     return _analysis(xa, E, jitter, evals, innov, nis)
 
 
@@ -400,7 +369,7 @@ def progressive_ekf_cycle(state, y_obs, model, obs_op, params):
     if y_obs is None:
         return _analysis(x_base, P, 0.0, evals)
     innov = np.asarray(y_obs, dtype=float) - obs_op.observe(x_base)
-    xa, E, nis = _update(x_base, P, P, innov, obs_op, params)
+    xa, E, nis = _update(x_base, P, P, innov, obs_op)
     return _analysis(xa, E, 0.0, evals, innov, nis)
 
 
@@ -410,7 +379,7 @@ def enkf_cycle(ensemble, y_obs, model, obs_op, params, rng):
     Members are forecast fully, deviations are inflated multiplicatively, the
     sample covariance is Schur-tapered with a Gaspari-Cohn factor on cyclic
     distance, and each member is updated against an independently perturbed
-    copy of the observation.
+    copy of the observation (noise sqrt(r) times a standard normal draw).
     """
     E = np.asarray(ensemble, dtype=float)
     n_ens, n = E.shape
@@ -431,11 +400,12 @@ def enkf_cycle(ensemble, y_obs, model, obs_op, params, rng):
 
     oi = obs_op.indices
     PHt = B[:, oi]
-    S = PHt[oi, :] + params.R
+    S = PHt[oi, :]
+    S.flat[::S.shape[0] + 1] += obs_op.r
     K = np.linalg.solve(S, PHt.T).T
 
     y_obs = np.asarray(y_obs, dtype=float)
-    Y_pert = y_obs + rng.standard_normal((n_ens, oi.size)) @ params.r_factor.T
+    Y_pert = y_obs + math.sqrt(obs_op.r) * rng.standard_normal((n_ens, oi.size))
     return E_inf + (Y_pert - E_inf[:, oi]) @ K.T
 
 
@@ -465,9 +435,9 @@ def dense_ukf_cycle(state, y_obs, model, obs_op, params):
 
     y_obs = np.asarray(y_obs, dtype=float)
     Pxy = (Xdev * w[:, None]).T @ Ydev
-    Pyy = (Ydev * w[:, None]).T @ Ydev + params.R
+    Pyy = (Ydev * w[:, None]).T @ Ydev
     innov = y_obs - yb_mean
-    K, Kd, Pyy_d = _dense_gain(Pyy, Pxy, innov, obs_op.indices, params.r_diag)
+    K, Kd, Pyy_d = _dense_gain(Pyy, Pxy, innov, obs_op.indices, obs_op.r)
     xa = xb_mean + Kd
     Pa = Pb - K @ Pxy.T
 

@@ -105,20 +105,12 @@ class ExperimentConfig:
                 raise ConfigError(f"loc_radius must be positive, got {self.loc_radius}")
             if self.r_scale == 0:
                 raise ConfigError(
-                    "the EnKF perturbs observations with R, so r_scale must be positive")
+                    "the EnKF perturbs observations with r_scale * I, so r_scale must be positive")
         return self
 
     def paper_scale(self):
         """The long configuration reported in the source experiments."""
         return replace(self, n_steps=4000, n_replicates=1000)
-
-    @property
-    def observed_indices(self):
-        return np.arange(0, self.n, self.observed_every)
-
-    @property
-    def m(self):
-        return self.observed_indices.size
 
     @property
     def half_bandwidth(self):
@@ -201,8 +193,15 @@ def rmse(analysis, truth):
     return float(np.sqrt(np.mean((analysis - truth) ** 2)))
 
 
-def _replicate_seed(config, replicate):
-    return np.random.SeedSequence(config.master_seed, spawn_key=(replicate,))
+def replicate_seeds(config, replicate):
+    """The (truth, observation, initial state, filter) seeds of one
+    replicate, derived from (master seed, replicate index) only."""
+    return np.random.SeedSequence(config.master_seed, spawn_key=(replicate,)).spawn(4)
+
+
+def observation_operator(config):
+    """Every ``observed_every``-th entry, observed with noise ``r_scale * I``."""
+    return ObservationOperator(config.n, config.observed_every, config.r_scale)
 
 
 def generate_truth(config, seed):
@@ -228,16 +227,12 @@ def synthesize_observations(truth, config, seed):
     Gaussian noise of covariance r_scale * I.
     """
     rng = np.random.default_rng(seed)
-    obs_op = ObservationOperator(config.n, config.observed_indices)
+    obs_op = observation_operator(config)
     times = observation_times(config)
     y = obs_op.observe(truth[times])
-    if config.r_scale > 0:
-        y = y + math.sqrt(config.r_scale) * rng.standard_normal(y.shape)
+    if obs_op.r > 0:
+        y = y + math.sqrt(obs_op.r) * rng.standard_normal(y.shape)
     return times, y
-
-
-def _noise(config):
-    return config.r_scale * np.eye(config.m)
 
 
 class _Filter:
@@ -263,7 +258,7 @@ class SparseUkf(_Filter):
     def init(self, config, xa0, rng):
         pattern = SparsityPattern(config.n, config.half_bandwidth)
         Q = SparseSymMatrix.identity(pattern, config.q) if config.q > 0 else None
-        self.params = UkfParams(pattern=pattern, R=_noise(config), kappa=config.kappa, Q=Q)
+        self.params = UkfParams(pattern=pattern, kappa=config.kappa, Q=Q)
         return FilterState(xa0, SparseSymMatrix.identity(pattern, config.p0))
 
     def cycle(self, state, y):
@@ -278,8 +273,7 @@ class ProgressiveEkf(_Filter):
     def init(self, config, xa0, rng):
         pattern = SparsityPattern(config.n, config.half_bandwidth)
         Q = SparseSymMatrix.identity(pattern, config.q) if config.q > 0 else None
-        self.params = ProgressiveParams(pattern=pattern, R=_noise(config), delta=config.delta,
-                                        n_p=config.n_p, Q=Q)
+        self.params = ProgressiveParams(pattern=pattern, delta=config.delta, n_p=config.n_p, Q=Q)
         return FilterState(xa0, SparseSymMatrix.identity(pattern, config.p0))
 
     def cycle(self, state, y):
@@ -293,7 +287,7 @@ class DenseUkf(_Filter):
 
     def init(self, config, xa0, rng):
         Q = config.q * np.eye(config.n) if config.q > 0 else None
-        self.params = DenseUkfParams(R=_noise(config), kappa=config.kappa, Q=Q)
+        self.params = DenseUkfParams(kappa=config.kappa, Q=Q)
         return FilterState(xa0, config.p0 * np.eye(config.n))
 
     def cycle(self, state, y):
@@ -315,8 +309,8 @@ class Enkf(_Filter):
     """The stochastic EnKF; its state is an EnkfState."""
 
     def init(self, config, xa0, rng):
-        self.params = EnkfParams(R=_noise(config), n_ens=config.n_ens,
-                                 loc_radius=config.loc_radius, inflation=config.inflation)
+        self.params = EnkfParams(n_ens=config.n_ens, loc_radius=config.loc_radius,
+                                 inflation=config.inflation)
         self.rng = rng  # draws the initial members, then every cycle's perturbed observations
         members = xa0 + math.sqrt(config.p0) * rng.standard_normal((config.n_ens, config.n))
         return EnkfState(members.mean(axis=0), members)
@@ -333,8 +327,7 @@ FILTERS = {"sparse_ukf": SparseUkf, "progressive_ekf": ProgressiveEkf, "enkf": E
 
 def run_replicate(config, replicate):
     """Run one replicate end to end; never raises on numerical failure."""
-    seed = _replicate_seed(config, replicate)
-    s_truth, s_obs, s_init, s_filter = seed.spawn(4)
+    s_truth, s_obs, s_init, s_filter = replicate_seeds(config, replicate)
 
     truth = generate_truth(config, s_truth)
     times, ys = synthesize_observations(truth, config, s_obs)
@@ -344,7 +337,7 @@ def run_replicate(config, replicate):
     xa0 = truth[0] + math.sqrt(config.p0) * rng_init.standard_normal(config.n)
 
     model = Lorenz96Model(config.n, config.forcing, config.dt)
-    obs_op = ObservationOperator(config.n, config.observed_indices)
+    obs_op = observation_operator(config)
     filt = FILTERS[config.filter](model, obs_op)
     state = filt.init(config, xa0, np.random.default_rng(s_filter))
 

@@ -1,4 +1,4 @@
-"""Dynamical models stepped whole or on windows, and the linear observation operator.
+"""Dynamical models stepped whole or on windows, and the observation model.
 
 A model is a batched step of whole states plus a static ``halo``: how far
 one step reaches to the left and to the right. The halo is what makes local
@@ -12,6 +12,10 @@ at least n wide, steps whole states.
 Every model keeps a running count of scalar output entries it has evaluated
 (the counted evaluations the filters report per cycle). The work actually
 performed is the rows x width of the batches the model is handed.
+
+``ObservationOperator(n, stride, r)`` is the whole observation model: it
+observes every ``stride``-th entry with noise covariance ``r * I``, so the
+filters read the scalar ``r`` and never form an m x m noise matrix.
 """
 
 from __future__ import annotations
@@ -232,24 +236,18 @@ def step_columns(model, x, pattern, perturbations, dt=None):
 
 
 class ObservationOperator:
-    """Linear selection of a fixed subset of state entries.
+    """Every ``stride``-th state entry, starting at the first, observed with
+    noise covariance ``r * I``.
 
-    The default observes every other entry starting at the first, i.e. for
-    n = 40 the 20 odd positions in 1-based counting.
+    The default observes every other entry with unit noise, i.e. for n = 40
+    the 20 odd positions in 1-based counting.
     """
 
-    def __init__(self, n, indices=None):
-        self.n = int(n)
-        if indices is None:
-            indices = np.arange(0, self.n, 2)
-        indices = np.asarray(indices, dtype=np.intp).ravel()
-        if indices.size == 0:
-            raise ValueError("at least one observed index required")
-        if indices.min() < 0 or indices.max() >= self.n:
-            raise ValueError("observed index out of range")
-        if np.unique(indices).size != indices.size:
-            raise ValueError("duplicate observed indices")
-        self.indices = indices
+    def __init__(self, n, stride=2, r=1.0):
+        if stride < 1:
+            raise ValueError(f"stride must be >= 1, got {stride}")
+        self.n, self.stride, self.r = int(n), int(stride), float(r)
+        self.indices = _read_only(np.arange(0, self.n, self.stride))
 
     @property
     def m(self):

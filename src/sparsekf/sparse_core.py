@@ -28,8 +28,9 @@ Contents:
   - min_eigenvalue: smallest eigenvalue of the represented symmetric matrix,
     certified by shifted factorizations on the structured path
   - GainLayout / gain_layout / band_gain: the Kalman gain's band
-    C M^-1 C^T and C M^-1 v for a band observed at a regular stride, from a
-    band factor of M and its selected inverse, with no m x m or n x m array
+    C M^-1 C^T and C M^-1 v for a band observed at every stride-th state
+    with noise r I, from a band factor of M = A[oi, oi] + r I and its
+    selected inverse, with no m x m or n x m array
 """
 
 from __future__ import annotations
@@ -952,28 +953,34 @@ def min_eigenvalue(P, info=None):
 # ---------------------------------------------------------------------------
 # Structured Kalman gain on a band observed at a regular stride
 
+# GainLayout.gather evaluates its index expression, about six temporaries of
+# the block's size, on blocks of rows whose index takes at most this many
+# bytes. A small layout is built in one piece; at n = 10240 the peak is 1.2 to
+# 1.6 times the result, against 5 times in one piece.
+GATHER_BLOCK_BYTES = 2**19
+
 
 class GainLayout:
     """Cached index arrays of ``band_gain`` for one observation geometry.
 
     A is a SparseSymMatrix on the cyclic band of half bandwidth k on n
-    states. It is observed at ``first + stride * alpha``, alpha < m = n /
-    stride. ``C = A[:, observed]`` is kept as local rows: row i of C at the
-    q observed indices ``windows[i]``, a cyclic run that covers every
+    states. It is observed at ``stride * alpha``, alpha < m = n / stride.
+    ``C = A[:, observed]`` is kept as local rows: row i of C at the q
+    observed indices ``windows[i]``, a cyclic run that covers every
     observed column within k of state i (entries past that read 0).
     ``width`` is the largest observation-space distance between the window
     entries of two states at most h apart, which is the reach of the band of
     ``C M^-1 C^T`` on the pattern ``SparsityPattern(n, h)``.
     """
 
-    def __init__(self, n, k, h, first, stride):
+    def __init__(self, n, k, h, stride):
         i = np.arange(n + h)  # state rows, extended past the wrap
-        start = -((first + k - i) // stride)  # ceil((i - k - first) / stride)
-        stop = (i + k - first) // stride  # last observed index within k
+        start = -((k - i) // stride)  # ceil((i - k) / stride)
+        stop = (i + k) // stride  # last observed index within k
         self.m, self.q = n // stride, int((stop - start).max()) + 1
         self.width = int(max((start[d:d + n] - start[:n]).max() for d in range(h + 1))) \
             + self.q - 1
-        self._geometry = (n, k, h, first, stride)
+        self._geometry = (n, k, h, stride)
         self._start, self._stop = start[:n], stop[:n]
 
     # The index arrays are built on first use: only the structured path uses them.
@@ -981,7 +988,7 @@ class GainLayout:
     @cached_property
     def pattern(self):
         """The pattern of the band of ``C M^-1 C^T``: ``SparsityPattern(n, h)``."""
-        n, _, h, _, _ = self._geometry
+        n, _, h, _ = self._geometry
         return SparsityPattern(n, h)
 
     @cached_property
@@ -997,26 +1004,26 @@ class GainLayout:
     @cached_property
     def _rows(self):
         """Flat band index of every C[i, a], or n*(k+1) (the trailing zero)."""
-        n, k, _, first, stride = self._geometry
+        n, k, _, stride = self._geometry
         inside = self._start[:, None] + np.arange(self.q) <= self._stop[:, None]
         return _read_only(np.where(
-            inside, _band_index(n, k, np.arange(n)[:, None], first + stride * self.windows),
+            inside, _band_index(n, k, np.arange(n)[:, None], stride * self.windows),
             n * (k + 1)))
 
     @cached_property
     def _observed(self):
-        n, k, _, first, stride = self._geometry
+        n, k, _, stride = self._geometry
         alpha = np.arange(self.m)[:, None]
         return _read_only(_band_index(
-            n, k, first + stride * alpha,
-            first + stride * ((alpha + np.arange(self.width + 1)) % self.m)))  # (m, width+1)
+            n, k, stride * alpha,
+            stride * ((alpha + np.arange(self.width + 1)) % self.m)))  # (m, width+1)
 
     def local_rows(self, A):
         """(n, q) rows of C = A[:, observed] at ``windows``."""
         return _take(A, self._rows)
 
     def observed(self, A, r):
-        """``A[observed][:, observed] + diag(r)`` on ``obs_pattern``."""
+        """``A[observed][:, observed] + r I`` on ``obs_pattern``."""
         M = _take(A, self._observed)
         M[:, 0] += r
         return SparseSymMatrix(self.obs_pattern, M)
@@ -1025,40 +1032,37 @@ class GainLayout:
     def gather(self):
         """(n, h+1, q, q) flat indices of the selected inverse of M's factor
         (``CyclicReduction.selected_inverse``, diag and sub concatenated) at
-        the pairs (windows[i, a], windows[i + d, c]) of band slot (i, d)."""
+        the pairs (windows[i, a], windows[i + d, c]) of band slot (i, d).
+        Built in blocks of rows of at most GATHER_BLOCK_BYTES, so that the
+        temporaries of one block stay smaller than a large result."""
         rows, position = _block_rows(self.m, max(self.width, REDUCTION_ROWS))
         N, p = rows.shape
-        a = position[self.windows][:, None, :, None]
-        c = position[self.windows[self.pattern.band_columns]][:, :, None, :]
-        (ka, ra), (kc, rc) = divmod(a, p), divmod(c, p)
-        index = np.where(ka == kc, (ka * p + ra) * p + rc,  # Z[a, c] in diag[ka]
+        n, _, h, _ = self._geometry
+        index = np.empty((n, h + 1, self.q, self.q), dtype=np.intp)
+        step = max(1, GATHER_BLOCK_BYTES // index[0].nbytes)
+        for start in range(0, n, step):
+            part = slice(start, start + step)
+            a = position[self.windows[part]][:, None, :, None]
+            c = position[self.windows[self.pattern.band_columns[part]]][:, :, None, :]
+            (ka, ra), (kc, rc) = divmod(a, p), divmod(c, p)
+            index[part] = np.where(ka == kc, (ka * p + ra) * p + rc,  # Z[a, c] in diag[ka]
                 np.where(kc == (ka + 1) % N, ((N + ka) * p + rc) * p + ra,  # Z[c, a] in sub[ka]
                 np.where(ka == (kc + 1) % N, ((N + kc) * p + ra) * p + rc, -1)))  # sub[kc]
-        if (index < 0).any():
+        if index.min() < 0:
             raise ValueError("the gain's reach exceeds the selected inverse")
         return _read_only(index)
 
 
-def gain_layout(n, k, h, indices):
-    """The GainLayout of a band of half bandwidth k observed at ``indices``
-    with the result on the (n, h) pattern, or None unless the structured
-    gain applies: the indices are a regular stride that divides n, and
-    ``uses_structured_path(m, width)`` holds."""
-    indices = np.ascontiguousarray(indices, dtype=np.intp)
-    return _gain_layout(n, k, h, indices.tobytes())
-
-
 @lru_cache(maxsize=16)
-def _gain_layout(n, k, h, indices_key):
-    indices = np.frombuffer(indices_key, dtype=np.intp)
-    m = indices.size
-    if m < 2 or n % m:
+def gain_layout(n, k, h, stride):
+    """The GainLayout of a band of half bandwidth k observed at every
+    ``stride``-th state with the result on the (n, h) pattern, or None
+    unless the structured gain applies: stride divides n, and
+    ``uses_structured_path(m, width)`` holds."""
+    if n % stride:
         return None
-    first, stride = int(indices[0]), n // m
-    if first >= stride or not np.array_equal(indices, first + stride * np.arange(m)):
-        return None
-    layout = GainLayout(n, k, h, first, stride)
-    return layout if uses_structured_path(m, layout.width) else None
+    layout = GainLayout(n, k, h, stride)
+    return layout if uses_structured_path(layout.m, layout.width) else None
 
 
 def band_gain(M, rows, layout, rhs):

@@ -56,7 +56,8 @@ def dense_kf_cycle(x, P, A, H, Q, R, y):
 # Dense-path oracles of the sparse filters: every sigma point and probe is a
 # full n-vector stepped with the full model, and every covariance is formed
 # from (2n+1) x n deviation matrices or n x n dense matrices. The factor and
-# the gamma repair call numpy directly, not the package's kernels.
+# the gamma repair call numpy directly, not the package's kernels, and the
+# innovation covariance gets the noise as a dense obs_op.r * I.
 
 
 def dense_pattern_factor(P, scale):
@@ -114,7 +115,7 @@ def dense_path_sparse_ukf_cycle(state, y_obs, model, obs_op, params):
     if params.Q is not None:
         Pb = Pb + params.Q
     Pxy = (Xdev * w[:, None]).T @ Ydev
-    Pyy = (Ydev * w[:, None]).T @ Ydev + params.R
+    Pyy = (Ydev * w[:, None]).T @ Ydev + obs_op.r * np.eye(obs_op.m)
 
     evals = model.evaluation_count - evals0
     if y_obs is None:
@@ -167,7 +168,7 @@ def dense_path_progressive_ekf_cycle(state, y_obs, model, obs_op, params):
     y_obs = np.asarray(y_obs, dtype=float)
     oi = obs_op.indices
     PHt = P.to_dense()[:, oi]
-    S = PHt[oi, :] + params.R
+    S = PHt[oi, :] + obs_op.r * np.eye(obs_op.m)
     K = np.linalg.solve(S, PHt.T).T
     innov = y_obs - yb
     xa = xb + K @ innov

@@ -103,15 +103,14 @@ def _filter_cycles(filter_name, nsp, n_cycles, seed, per_cycle_check):
     xa0 = truth[0] + math.sqrt(cfg.p0) * rng.standard_normal(cfg.n)
 
     model = Lorenz96Model(cfg.n, cfg.forcing, cfg.dt)
-    obs_op = ObservationOperator(cfg.n, cfg.observed_indices)
+    obs_op = ObservationOperator(cfg.n, cfg.observed_every, cfg.r_scale)
     pattern = SparsityPattern(cfg.n, cfg.half_bandwidth)
-    R = np.eye(obs_op.m)
     state = FilterState(xa0, SparseSymMatrix.identity(pattern, cfg.p0))
     if filter_name == "sparse_ukf":
-        params = UkfParams(pattern=pattern, R=R)
+        params = UkfParams(pattern=pattern)
         cycle = sparse_ukf_cycle
     else:
-        params = ProgressiveParams(pattern=pattern, R=R)
+        params = ProgressiveParams(pattern=pattern)
         cycle = progressive_ekf_cycle
     for k in range(n_cycles):
         state = cycle(state, ys[k], model, obs_op, params)
@@ -151,16 +150,15 @@ def test_criterion_02_scalar_kalman_equivalence():
         ys.append(x_true + rng.standard_normal())
     kf_x, kf_p = scalar_kf(a, r, q, x0, p0, ys)
 
-    obs_op = ObservationOperator(1, [0])
-    R = np.array([[r]])
+    obs_op = ObservationOperator(1, 1, r)
     pattern = SparsityPattern(1, 0)
 
     s_state = FilterState(np.array([x0]), SparseSymMatrix.identity(pattern, p0))
     d_state = FilterState(np.array([x0]), np.array([[p0]]))
     p_state = FilterState(np.array([x0]), SparseSymMatrix.identity(pattern, p0))
-    s_params = UkfParams(pattern=pattern, R=R)
-    d_params = DenseUkfParams(R=R)
-    p_params = ProgressiveParams(pattern=pattern, R=R, delta=1e-4)
+    s_params = UkfParams(pattern=pattern)
+    d_params = DenseUkfParams()
+    p_params = ProgressiveParams(pattern=pattern, delta=1e-4)
 
     worst = 0.0
     for k, y in enumerate(ys):
@@ -190,11 +188,10 @@ def test_criterion_03_degeneration_to_dense_ukf():
     for _ in range(200):
         truth = model_d.step(truth)
     xa0 = truth + 0.3 * rng.standard_normal(n)
-    R = np.eye(obs_op.m)
     s_state = FilterState(xa0, SparseSymMatrix.identity(pattern, 0.2))
     d_state = FilterState(xa0.copy(), 0.2 * np.eye(n))
-    s_params = UkfParams(pattern=pattern, R=R)
-    d_params = DenseUkfParams(R=R)
+    s_params = UkfParams(pattern=pattern)
+    d_params = DenseUkfParams()
     worst = 0.0
     for _ in range(10):
         truth = Lorenz96Model(n=n).step(truth)
@@ -262,7 +259,6 @@ def test_criterion_05_evaluation_count_identities():
     """Per-cycle component-evaluation counts match the closed forms exactly."""
     rng = np.random.default_rng(5)
     obs_op = ObservationOperator(40)
-    R = np.eye(20)
     x0 = rng.uniform(-1, 1, 40)
     warm = Lorenz96Model()
     for _ in range(200):
@@ -279,13 +275,13 @@ def test_criterion_05_evaluation_count_identities():
             before = model.evaluation_count
             if filter_name == "sparse_ukf":
                 state = sparse_ukf_cycle(state, y, model, obs_op,
-                                         UkfParams(pattern=pattern, R=R))
+                                         UkfParams(pattern=pattern))
             elif filter_name == "progressive_ekf":
                 state = progressive_ekf_cycle(state, y, model, obs_op,
-                                              ProgressiveParams(pattern=pattern, R=R, n_p=n_p))
+                                              ProgressiveParams(pattern=pattern, n_p=n_p))
             else:
                 members = enkf_cycle(members, y, model, obs_op,
-                                     EnkfParams(R=R), rng)
+                                     EnkfParams(), rng)
             assert model.evaluation_count - before == expected
 
     run_cycles("sparse_ukf", 7, 1, 600)       # 40 + 80*7

@@ -43,15 +43,14 @@ from sparsekf.sparse_core import (
 def lorenz_setup(n=40, nsp=7, r=1.0, p0=0.2, seed=0):
     rng = np.random.default_rng(seed)
     model = Lorenz96Model(n=n)
-    obs_op = ObservationOperator(n)
+    obs_op = ObservationOperator(n, r=r)
     pattern = SparsityPattern(n, (nsp - 1) // 2)
     x0 = rng.uniform(-1, 1, n)
     for _ in range(300):
         x0 = rk4_step(x0, model.dt, model.forcing)
     state = FilterState(x0 + 0.3 * rng.standard_normal(n),
                         SparseSymMatrix.identity(pattern, p0))
-    R = r * np.eye(obs_op.m)
-    return model, obs_op, pattern, state, R, x0, rng
+    return model, obs_op, pattern, state, x0, rng
 
 
 class TestWeights:
@@ -100,8 +99,8 @@ class TestScalarKalmanOracle:
         ys = self._observations(a, 50, 17)
         kf_x, kf_p = scalar_kf(a, r, 0.0, x0, p0, ys)
         model = LinearModel([[a]])
-        obs_op = ObservationOperator(1, [0])
-        params = DenseUkfParams(R=np.array([[r]]))
+        obs_op = ObservationOperator(1, 1, r)
+        params = DenseUkfParams()
         state = FilterState(np.array([x0]), np.array([[p0]]))
         for k, y in enumerate(ys):
             state = dense_ukf_cycle(state, [y], model, obs_op, params)
@@ -113,9 +112,9 @@ class TestScalarKalmanOracle:
         ys = self._observations(a, 50, 18)
         kf_x, kf_p = scalar_kf(a, r, 0.0, x0, p0, ys)
         model = LinearModel([[a]])
-        obs_op = ObservationOperator(1, [0])
+        obs_op = ObservationOperator(1, 1, r)
         pattern = SparsityPattern(1, 0)
-        params = UkfParams(pattern=pattern, R=np.array([[r]]))
+        params = UkfParams(pattern=pattern)
         state = FilterState(np.array([x0]), SparseSymMatrix.identity(pattern, p0))
         for k, y in enumerate(ys):
             state = sparse_ukf_cycle(state, [y], model, obs_op, params)
@@ -136,8 +135,7 @@ class TestProgressiveCovariance:
         model = LinearModel(np.eye(n))
         obs_op = ObservationOperator(n)
         for delta in (1e-6, 1e-4, 1e-1, 1.0):
-            params = ProgressiveParams(pattern=pattern, R=np.eye(obs_op.m),
-                                       delta=delta, Q=Q)
+            params = ProgressiveParams(pattern=pattern, delta=delta, Q=Q)
             out = progressive_ekf_cycle(FilterState(rng.normal(size=n), Pa),
                                         None, model, obs_op, params)
             expected = Pa.to_dense() + 0.07 * np.eye(n)
@@ -156,7 +154,7 @@ class TestProgressiveCovariance:
         Pa = SparseSymMatrix.from_dense(Pd, pattern)
         model = LinearModel(M)
         obs_op = ObservationOperator(n)
-        params = ProgressiveParams(pattern=pattern, R=np.eye(obs_op.m), delta=delta)
+        params = ProgressiveParams(pattern=pattern, delta=delta)
         out = progressive_ekf_cycle(FilterState(rng.normal(size=n), Pa),
                                     None, model, obs_op, params)
         oracle = M @ Pd @ M.T
@@ -169,8 +167,8 @@ class TestProgressiveCovariance:
 
 class TestZeroGainLimits:
     def test_sparse_ukf_ignores_observations_when_r_huge(self):
-        model, obs_op, pattern, state, _, _, rng = lorenz_setup(seed=23)
-        params = UkfParams(pattern=pattern, R=1e12 * np.eye(obs_op.m))
+        model, obs_op, pattern, state, _, rng = lorenz_setup(r=1e12, seed=23)
+        params = UkfParams(pattern=pattern)
         y = obs_op.observe(rng.normal(size=40))
         analyzed = sparse_ukf_cycle(state, y, model, obs_op, params)
         forecast = sparse_ukf_cycle(state, None, model, obs_op, params)
@@ -178,8 +176,8 @@ class TestZeroGainLimits:
         assert np.linalg.norm(analyzed.xa - forecast.xa) <= 1e-6 * scale
 
     def test_enkf_ignores_observations_when_r_huge(self):
-        model, obs_op, _, state, _, x0, rng = lorenz_setup(seed=24)
-        params = EnkfParams(R=1e12 * np.eye(obs_op.m), n_ens=8)
+        model, obs_op, _, state, x0, rng = lorenz_setup(r=1e12, seed=24)
+        params = EnkfParams(n_ens=8)
         members = x0 + 0.3 * rng.standard_normal((8, 40))
         analyzed = enkf_cycle(members, obs_op.observe(x0), model, obs_op, params,
                               np.random.default_rng(1))
@@ -199,7 +197,7 @@ class TestEnkfOracle:
         rng = np.random.default_rng(25)
         A = 0.9 * np.linalg.qr(rng.normal(size=(n, n)))[0]
         model = LinearModel(A)
-        obs_op = ObservationOperator(n, [0, 2, 4])
+        obs_op = ObservationOperator(n)  # entries 0, 2 and 4
         H = np.eye(n)[obs_op.indices]
         R = np.eye(3)
         x0 = rng.normal(size=n)
@@ -208,7 +206,7 @@ class TestEnkfOracle:
         y = H @ truth + rng.standard_normal(3)
 
         kf_x, _ = dense_kf_cycle(x0, P0, A, H, np.zeros((n, n)), R, y)
-        params = EnkfParams(R=R, n_ens=n_ens, loc_radius=None, inflation=1.0)
+        params = EnkfParams(n_ens=n_ens, loc_radius=None, inflation=1.0)
         members = x0 + rng.standard_normal((n_ens, n)) @ np.linalg.cholesky(P0).T
         analyzed = enkf_cycle(members, y, model, obs_op, params, rng)
         err = np.linalg.norm(analyzed.mean(axis=0) - kf_x)
@@ -218,8 +216,8 @@ class TestEnkfOracle:
 class TestEvaluationCountIdentities:
     @pytest.mark.parametrize("nsp,expected", [(7, 600), (11, 920)])
     def test_sparse_ukf(self, nsp, expected):
-        model, obs_op, pattern, state, R, x0, rng = lorenz_setup(nsp=nsp, seed=26)
-        params = UkfParams(pattern=pattern, R=R)
+        model, obs_op, pattern, state, x0, rng = lorenz_setup(nsp=nsp, seed=26)
+        params = UkfParams(pattern=pattern)
         for _ in range(5):
             before = model.evaluation_count
             y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
@@ -230,8 +228,8 @@ class TestEvaluationCountIdentities:
     @pytest.mark.parametrize("nsp,n_p,expected", [(7, 1, 320), (11, 1, 480),
                                                   (11, 2, 960), (17, 2, 1440)])
     def test_progressive_ekf(self, nsp, n_p, expected):
-        model, obs_op, pattern, state, R, x0, rng = lorenz_setup(nsp=nsp, seed=27)
-        params = ProgressiveParams(pattern=pattern, R=R, n_p=n_p)
+        model, obs_op, pattern, state, x0, rng = lorenz_setup(nsp=nsp, seed=27)
+        params = ProgressiveParams(pattern=pattern, n_p=n_p)
         for _ in range(5):
             before = model.evaluation_count
             y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
@@ -239,8 +237,8 @@ class TestEvaluationCountIdentities:
             assert model.evaluation_count - before == expected
 
     def test_enkf(self):
-        model, obs_op, _, _, R, x0, rng = lorenz_setup(seed=28)
-        params = EnkfParams(R=R, n_ens=10)
+        model, obs_op, _, _, x0, rng = lorenz_setup(seed=28)
+        params = EnkfParams(n_ens=10)
         members = x0 + 0.3 * rng.standard_normal((10, 40))
         for _ in range(5):
             before = model.evaluation_count
@@ -249,8 +247,8 @@ class TestEvaluationCountIdentities:
             assert model.evaluation_count - before == 400
 
     def test_dense_ukf(self):
-        model, obs_op, _, state, R, x0, rng = lorenz_setup(seed=29)
-        params = DenseUkfParams(R=R)
+        model, obs_op, _, state, x0, rng = lorenz_setup(seed=29)
+        params = DenseUkfParams()
         state = FilterState(state.xa, 0.2 * np.eye(40))
         for _ in range(3):
             before = model.evaluation_count
@@ -261,8 +259,8 @@ class TestEvaluationCountIdentities:
 
 class TestGammaRepair:
     def test_repaired_minimum_eigenvalue_hits_margin(self):
-        model, obs_op, pattern, state, R, x0, rng = lorenz_setup(seed=30)
-        params = UkfParams(pattern=pattern, R=R)
+        model, obs_op, pattern, state, x0, rng = lorenz_setup(seed=30)
+        params = UkfParams(pattern=pattern)
         truth = x0.copy()
         hit = False
         for _ in range(40):
@@ -279,9 +277,9 @@ class TestGammaRepair:
     def test_certified_cycle_makes_one_factorization(self):
         # n = 640 takes the structured path: the first analysis is positive
         # definite, so one factorization certifies it and no eigenvalue is needed
-        model, obs_op, pattern, state, R, x0, rng = lorenz_setup(n=640, seed=35)
+        model, obs_op, pattern, state, x0, rng = lorenz_setup(n=640, seed=35)
         y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
-        out = sparse_ukf_cycle(state, y, model, obs_op, UkfParams(pattern=pattern, R=R))
+        out = sparse_ukf_cycle(state, y, model, obs_op, UkfParams(pattern=pattern))
         assert out.diagnostics.gamma == 0.0
         assert out.diagnostics.repair_factorizations == 1
 
@@ -292,14 +290,14 @@ class TestGammaRepair:
             filters._gamma_repair(E)
 
     def test_dense_path_repair_makes_no_factorization(self):
-        model, obs_op, pattern, state, R, x0, rng = lorenz_setup(seed=36)
+        model, obs_op, pattern, state, x0, rng = lorenz_setup(seed=36)
         y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
-        out = progressive_ekf_cycle(state, y, model, obs_op, ProgressiveParams(pattern, R))
+        out = progressive_ekf_cycle(state, y, model, obs_op, ProgressiveParams(pattern))
         assert out.diagnostics.repair_factorizations == 0
 
     def test_covariance_symmetric_after_cycles(self):
-        model, obs_op, pattern, state, R, x0, rng = lorenz_setup(seed=31)
-        params = ProgressiveParams(pattern=pattern, R=R)
+        model, obs_op, pattern, state, x0, rng = lorenz_setup(seed=31)
+        params = ProgressiveParams(pattern=pattern)
         for _ in range(10):
             y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
             state = progressive_ekf_cycle(state, y, model, obs_op, params)
@@ -321,11 +319,10 @@ class TestDegeneration:
         for _ in range(200):
             truth = model_s.step(truth)
         xa0 = truth + 0.3 * rng.standard_normal(n)
-        R = np.eye(obs_op.m)
         sparse_state = FilterState(xa0, SparseSymMatrix.identity(pattern, 0.2))
         dense_state = FilterState(xa0.copy(), 0.2 * np.eye(n))
-        p_sparse = UkfParams(pattern=pattern, R=R)
-        p_dense = DenseUkfParams(R=R)
+        p_sparse = UkfParams(pattern=pattern)
+        p_dense = DenseUkfParams()
         for _ in range(10):
             truth = Lorenz96Model(n=n).step(truth)
             y = obs_op.observe(truth) + rng.standard_normal(obs_op.m)
@@ -337,16 +334,16 @@ class TestDegeneration:
 
 class TestForecastOnly:
     def test_sparse_ukf_forecast_half_cycle(self):
-        model, obs_op, pattern, state, R, _, _ = lorenz_setup(seed=33)
-        params = UkfParams(pattern=pattern, R=R)
+        model, obs_op, pattern, state, _, _ = lorenz_setup(seed=33)
+        params = UkfParams(pattern=pattern)
         out = sparse_ukf_cycle(state, None, model, obs_op, params)
         assert not np.array_equal(out.xa, state.xa)
         assert min_eigenvalue(out.Pa) > 0.0
         assert out.diagnostics.innovation_norm == 0.0
 
     def test_enkf_forecast_only(self):
-        model, obs_op, _, _, R, x0, rng = lorenz_setup(seed=34)
-        params = EnkfParams(R=R, n_ens=6)
+        model, obs_op, _, _, x0, rng = lorenz_setup(seed=34)
+        params = EnkfParams(n_ens=6)
         members = x0 + 0.3 * rng.standard_normal((6, 40))
         out = enkf_cycle(members, None, model, obs_op, params, rng)
         expected = Lorenz96Model().step_many(members)
@@ -355,9 +352,10 @@ class TestForecastOnly:
 
 class TestEnkfNoiseFactor:
     def test_perturbations_reuse_the_factor_of_r(self, monkeypatch):
-        model, obs_op, _, _, _, x0, rng = lorenz_setup(seed=35)
-        R = np.diag(rng.uniform(0.5, 2.0, obs_op.m))
-        params = EnkfParams(R=R, n_ens=6)
+        # R = r I: the perturbations are sqrt(r) times standard normal draws,
+        # with no factorization of R in the cycle
+        model, obs_op, _, _, x0, rng = lorenz_setup(r=1.7, seed=35)
+        params = EnkfParams(n_ens=6)
         members = x0 + 0.3 * rng.standard_normal((6, 40))
         y = obs_op.observe(x0)
         before = enkf_cycle(members, y, model, obs_op, params, np.random.default_rng(5))
@@ -368,7 +366,19 @@ class TestEnkfNoiseFactor:
         monkeypatch.setattr(np.linalg, "cholesky", fail)
         after = enkf_cycle(members, y, model, obs_op, params, np.random.default_rng(5))
         assert np.array_equal(after, before)
-        assert not params.R.flags.writeable and not params.r_factor.flags.writeable
+
+        Ef = Lorenz96Model().step_many(members)
+        mean = Ef.mean(axis=0)
+        E_inf = mean + (Ef - mean) * params.inflation
+        dev = E_inf - mean
+        i = np.arange(40)
+        dist = np.abs(i[:, None] - i[None, :])
+        B = dev.T @ dev / 5 * gaspari_cohn(np.minimum(dist, 40 - dist), params.loc_radius)
+        oi = obs_op.indices
+        K = B[:, oi] @ np.linalg.inv(B[np.ix_(oi, oi)] + 1.7 * np.eye(obs_op.m))
+        Y = y + math.sqrt(1.7) * np.random.default_rng(5).standard_normal((6, obs_op.m))
+        expected = E_inf + (Y - E_inf[:, oi]) @ K.T
+        assert np.abs(after - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 class TestGaspariCohn:
@@ -394,18 +404,17 @@ class TestGaspariCohn:
 class TestParamValidation:
     def test_bad_params(self):
         pattern = SparsityPattern(8, 1)
-        R = np.eye(4)
         with pytest.raises(ValueError):
-            EnkfParams(R=R, n_ens=1)
+            EnkfParams(n_ens=1)
         with pytest.raises(ValueError):
-            EnkfParams(R=R, loc_radius=0.0)
+            EnkfParams(loc_radius=0.0)
         with pytest.raises(ValueError):
-            ProgressiveParams(pattern=pattern, R=R, delta=0.0)
+            ProgressiveParams(pattern=pattern, delta=0.0)
         with pytest.raises(ValueError):
-            ProgressiveParams(pattern=pattern, R=R, n_p=0)
+            ProgressiveParams(pattern=pattern, n_p=0)
         with pytest.raises(ValueError):
             other = SparsityPattern(8, 2)
-            UkfParams(pattern=pattern, R=R, Q=SparseSymMatrix.identity(other))
+            UkfParams(pattern=pattern, Q=SparseSymMatrix.identity(other))
 
 
 class TestDensePathOracle:
@@ -414,8 +423,8 @@ class TestDensePathOracle:
 
     @pytest.mark.parametrize("n,nsp", [(40, 7), (40, 27), (160, 41)])
     def test_sigma_point_forecasts_are_bit_identical(self, n, nsp):
-        model, obs_op, pattern, state, R, _, _ = lorenz_setup(n=n, nsp=nsp, seed=60)
-        params = UkfParams(pattern=pattern, R=R)
+        model, obs_op, pattern, state, _, _ = lorenz_setup(n=n, nsp=nsp, seed=60)
+        params = UkfParams(pattern=pattern)
         for _ in range(3):
             state = sparse_ukf_cycle(state, None, model, obs_op, params)
         factor, _ = incomplete_cholesky(state.Pa, n)
@@ -428,8 +437,8 @@ class TestDensePathOracle:
 
     @pytest.mark.parametrize("n,nsp,n_p", [(40, 7, 1), (40, 11, 2), (160, 41, 2)])
     def test_progressive_forecast_is_bit_identical(self, n, nsp, n_p):
-        model, obs_op, pattern, state, R, x0, rng = lorenz_setup(n=n, nsp=nsp, seed=61)
-        params = ProgressiveParams(pattern=pattern, R=R, n_p=n_p)
+        model, obs_op, pattern, state, x0, rng = lorenz_setup(n=n, nsp=nsp, seed=61)
+        params = ProgressiveParams(pattern=pattern, n_p=n_p)
         for _ in range(3):
             y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
             state = progressive_ekf_cycle(state, y, model, obs_op, params)
@@ -445,12 +454,12 @@ class TestDensePathOracle:
         # includes full patterns (even and odd n), a nonzero center weight,
         # a negative one, and Q
         nsp = n if n < 10 else 9
-        model, obs_op, pattern, state, R, x0, rng = lorenz_setup(n=n, nsp=nsp, seed=62)
+        model, obs_op, pattern, state, x0, rng = lorenz_setup(n=n, nsp=nsp, seed=62)
         if n < 10:
             pattern = SparsityPattern(n, n // 2)
             state = FilterState(state.xa, SparseSymMatrix.identity(pattern, 0.2))
         Q = SparseSymMatrix.identity(pattern, q) if q else None
-        params = UkfParams(pattern=pattern, R=R, kappa=kappa, Q=Q)
+        params = UkfParams(pattern=pattern, kappa=kappa, Q=Q)
         for _ in range(5):
             y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
             new = sparse_ukf_cycle(state, y, model, obs_op, params)
@@ -539,18 +548,18 @@ def forbid(monkeypatch, owner, name):
     monkeypatch.setattr(owner, name, fail)
 
 
-def filter_params(name, pattern, R, n_p=1):
+def filter_params(name, pattern, n_p=1):
     if name == "sparse_ukf":
-        return sparse_ukf_cycle, dense_path_sparse_ukf_cycle, UkfParams(pattern=pattern, R=R)
+        return sparse_ukf_cycle, dense_path_sparse_ukf_cycle, UkfParams(pattern=pattern)
     return (progressive_ekf_cycle, dense_path_progressive_ekf_cycle,
-            ProgressiveParams(pattern=pattern, R=R, n_p=n_p))
+            ProgressiveParams(pattern=pattern, n_p=n_p))
 
 
 def warmed_up(name, n, nsp, seed, n_p=1, cycles=2):
     """A state after a few analysis cycles, so that the covariance is no
     longer the initial multiple of the identity."""
-    model, obs_op, pattern, state, R, x0, rng = lorenz_setup(n=n, nsp=nsp, seed=seed)
-    cycle, _, params = filter_params(name, pattern, R, n_p)
+    model, obs_op, pattern, state, x0, rng = lorenz_setup(n=n, nsp=nsp, seed=seed)
+    cycle, _, params = filter_params(name, pattern, n_p)
     for _ in range(cycles):
         y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
         state = cycle(state, y, model, obs_op, params)
@@ -567,8 +576,8 @@ FILTERS = ["sparse_ukf", "progressive_ekf"]
 
 
 class TestGainPathSelection:
-    """The structured gain applies to a stride dividing n, a diagonal R and
-    an observation space large enough for the band factor; every other
+    """The structured gain applies to a stride dividing n and an observation
+    space large enough for the band factor, while M factors; every other
     case keeps the dense solve."""
 
     @pytest.mark.parametrize("name,n,nsp,n_p", [
@@ -577,7 +586,7 @@ class TestGainPathSelection:
     ])
     def test_bench_desk_and_wide_band_take_the_dense_gain(self, monkeypatch, name, n, nsp, n_p):
         model, obs_op, pattern, state, x0, rng = warmed_up(name, n, nsp, 70, n_p, cycles=1)
-        cycle, oracle, params = filter_params(name, pattern, np.eye(obs_op.m), n_p)
+        cycle, oracle, params = filter_params(name, pattern, n_p)
         forbid(monkeypatch, filters, "band_gain")
         calls = dense_solve_counter(monkeypatch)
         y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
@@ -588,7 +597,7 @@ class TestGainPathSelection:
     @pytest.mark.parametrize("name", FILTERS)
     def test_high_dimension_takes_the_structured_gain(self, monkeypatch, name):
         model, obs_op, pattern, state, x0, rng = warmed_up(name, 640, 7, 71)
-        cycle, _, params = filter_params(name, pattern, np.eye(obs_op.m))
+        cycle, _, params = filter_params(name, pattern)
         kernel_calls = []
         real = filters.band_gain
 
@@ -605,22 +614,14 @@ class TestGainPathSelection:
         assert len(kernel_calls) == 3
 
     @pytest.mark.parametrize("name", FILTERS)
-    @pytest.mark.parametrize("case", ["stride 3", "irregular", "non-diagonal R",
-                                      "M not positive definite"])
+    @pytest.mark.parametrize("case", ["stride 3", "M not positive definite"])
     def test_fallbacks_take_the_dense_gain(self, monkeypatch, name, case):
         model, obs_op, pattern, state, x0, rng = warmed_up(name, 640, 7, 72)
         if case == "stride 3":  # 640 % 3 != 0
-            obs_op = ObservationOperator(640, np.arange(0, 640, 3))
-        elif case == "irregular":
-            indices = np.arange(0, 640, 2)
-            indices[5] += 1
-            obs_op = ObservationOperator(640, indices)
-        R = np.eye(obs_op.m)
-        if case == "non-diagonal R":
-            R += 0.1 * (np.eye(obs_op.m, k=1) + np.eye(obs_op.m, k=-1))
-        elif case == "M not positive definite":
-            R = -10.0 * R
-        cycle, oracle, params = filter_params(name, pattern, R)
+            obs_op = ObservationOperator(640, 3)
+        else:
+            obs_op = ObservationOperator(640, r=-10.0)
+        cycle, oracle, params = filter_params(name, pattern)
         calls = dense_solve_counter(monkeypatch)
         y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
         new = cycle(state, y, model, obs_op, params)
@@ -650,8 +651,8 @@ class TestStructuredGain:
     @pytest.mark.parametrize("name", FILTERS)
     def test_cycles_match_the_dense_path_oracle(self, name):
         # the oracle forms Pxy/Pyy (PHt/S) densely and solves for the gain
-        model, obs_op, pattern, state, R, x0, rng = lorenz_setup(n=640, nsp=7, seed=73)
-        cycle, oracle, params = filter_params(name, pattern, R)
+        model, obs_op, pattern, state, x0, rng = lorenz_setup(n=640, nsp=7, seed=73)
+        cycle, oracle, params = filter_params(name, pattern)
         for _ in range(5):
             y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
             new = cycle(state, y, model, obs_op, params)
@@ -662,9 +663,9 @@ class TestStructuredGain:
         # A negative center weight (kappa < 0) lets Pyy = M - u u^T be
         # indefinite: here 1 - u^T M^-1 u is about -0.16, and the dense
         # solve decides.
-        model, obs_op, pattern, state, R, x0, rng = lorenz_setup(n=640, nsp=7, p0=500.0,
+        model, obs_op, pattern, state, x0, rng = lorenz_setup(n=640, nsp=7, p0=500.0,
                                                                  seed=74)
-        params = UkfParams(pattern=pattern, R=R, kappa=-639.5)
+        params = UkfParams(pattern=pattern, kappa=-639.5)
         recorded = []
         real = filters.band_gain
 
@@ -692,7 +693,7 @@ class TestNormalizedInnovation:
     @pytest.mark.parametrize("n", [40, 640])  # dense and structured gain
     def test_matches_dense_solve(self, name, n):
         model, obs_op, pattern, state, x0, rng = warmed_up(name, n, 7, 75)
-        cycle, oracle, params = filter_params(name, pattern, np.eye(obs_op.m))
+        cycle, oracle, params = filter_params(name, pattern)
         y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
         new = cycle(state, y, model, obs_op, params).diagnostics.nis
         old = oracle(state, y, model, obs_op, params).diagnostics.nis
@@ -700,15 +701,13 @@ class TestNormalizedInnovation:
         assert abs(new - old) <= 1e-12
 
     @pytest.mark.parametrize("name", FILTERS)
-    @pytest.mark.parametrize("noise", ["zero", "non-diagonal"])
+    @pytest.mark.parametrize("noise", ["zero"])
     def test_dense_gain_with_singular_or_full_noise(self, name, noise):
-        # R = 0 or a full R: innov joins the dense solve as one more
-        # right-hand side (R^-1 is not applied)
+        # r = 0: innov joins the dense solve as one more right-hand side
+        # (1 / r is not applied)
         model, obs_op, pattern, state, x0, rng = warmed_up(name, 40, 7, 77)
-        R = np.zeros((obs_op.m, obs_op.m))
-        if noise == "non-diagonal":
-            R = np.eye(obs_op.m) + 0.2 * (np.eye(obs_op.m, k=1) + np.eye(obs_op.m, k=-1))
-        cycle, oracle, params = filter_params(name, pattern, R)
+        obs_op = ObservationOperator(40, r=0.0)
+        cycle, oracle, params = filter_params(name, pattern)
         y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
         new = cycle(state, y, model, obs_op, params).diagnostics.nis
         old = oracle(state, y, model, obs_op, params).diagnostics.nis
@@ -718,12 +717,12 @@ class TestNormalizedInnovation:
     @pytest.mark.parametrize("n", [40, 640])
     def test_zero_for_a_forecast_only_cycle(self, name, n):
         model, obs_op, pattern, state, x0, rng = warmed_up(name, n, 7, 76, cycles=1)
-        cycle, _, params = filter_params(name, pattern, np.eye(obs_op.m))
+        cycle, _, params = filter_params(name, pattern)
         assert cycle(state, None, model, obs_op, params).diagnostics.nis == 0.0
 
     def test_dense_ukf_matches_scalar_kf(self):
         a, r, p, x, y = 0.97, 1.3, 0.2, 1.0, 0.4
         state = FilterState(np.array([x]), np.array([[p]]))
-        out = dense_ukf_cycle(state, [y], LinearModel([[a]]), ObservationOperator(1, [0]),
-                              DenseUkfParams(R=np.array([[r]])))
+        out = dense_ukf_cycle(state, [y], LinearModel([[a]]), ObservationOperator(1, 1, r),
+                              DenseUkfParams())
         assert abs(out.diagnostics.nis - (y - a * x) ** 2 / (a * a * p + r)) <= 1e-12

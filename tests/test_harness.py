@@ -2,12 +2,14 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import sparsekf.harness as harness
 from sparsekf.cli import main, parse_config_file
+from sparsekf.models import Lorenz96Model
 from sparsekf.harness import (
     RUNS_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -191,6 +193,23 @@ class TestRunReplicate:
         assert r.error == f"FloatingPointError at cycle 3: non-finite analysis {what}"
 
 
+class TestFilterSetUp:
+    @pytest.mark.parametrize("name", ["sparse_ukf", "progressive_ekf"])
+    def test_set_up_memory_is_linear_in_n(self, name):
+        # n = 10240 observes m = 5120 entries: a dense m x m noise matrix
+        # alone would take 210 MB
+        config = ExperimentConfig(filter=name, n=10240, nsp=7).validate()
+        filt = harness.FILTERS[name](Lorenz96Model(config.n), harness.observation_operator(config))
+        tracemalloc.start()
+        try:
+            state = filt.init(config, np.zeros(config.n), np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+        assert state.Pa.band.shape == (10240, 4)
+
+
 class TestRunExperiment:
     def test_parallel_matches_serial(self):
         cfg = tiny_config(n_replicates=4)
@@ -293,9 +312,12 @@ class TestConfig:
         assert cfg.n_steps == 4000 and cfg.n_replicates == 1000
 
     def test_observed_indices(self):
-        cfg = tiny_config()
-        assert cfg.m == 20
-        assert np.array_equal(cfg.observed_indices, np.arange(0, 40, 2))
+        op = harness.observation_operator(tiny_config())
+        assert op.m == 20 and op.r == 1.0
+        assert np.array_equal(op.indices, np.arange(0, 40, 2))
+        op = harness.observation_operator(tiny_config(observed_every=3, r_scale=0.25))
+        assert op.m == 14 and op.r == 0.25
+        assert np.array_equal(op.indices, np.arange(0, 40, 3))
 
     def test_param_labels(self):
         assert tiny_config(filter="enkf").param_label() == "Nens=10"
@@ -352,6 +374,22 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 7  # header + 6 states
         assert lines[0].startswith("step,x0,")
+
+    def test_truth_subcommand_writes_the_truth_of_replicate_0(self, tmp_path, monkeypatch):
+        out = tmp_path / "truth.csv"
+        assert main(["truth", "--n-steps", "5", "--master-seed", "7", "--out", str(out)]) == 0
+        truths = []
+        real = harness.generate_truth
+
+        def record(config, seed):
+            truths.append(real(config, seed))
+            return truths[-1]
+
+        monkeypatch.setattr(harness, "generate_truth", record)
+        config = ExperimentConfig(n_steps=5, n_replicates=1, master_seed=7)
+        assert not run_replicate(config, 0).failed
+        rows = out.read_text().strip().split("\n")[1:]
+        assert rows == [f"{k}," + ",".join(f"{v:.6g}" for v in x) for k, x in enumerate(truths[0])]
 
     def test_run_subcommand(self, capsys):
         code = main(["run", "--filter", "enkf", "--n-steps", "10", "--master-seed", "1"])

@@ -296,7 +296,7 @@ class TestObservationOperator:
     def test_every_other_selection(self):
         op = ObservationOperator(40)
         x = np.arange(1.0, 41.0)
-        assert op.m == 20
+        assert op.m == 20 and op.stride == 2 and op.r == 1.0
         assert np.array_equal(op.observe(x), np.arange(1.0, 41.0, 2.0))
 
     def test_linearity(self):
@@ -308,20 +308,19 @@ class TestObservationOperator:
 
     def test_jacobian_consistent(self):
         # observing is multiplying by the constant selection matrix
-        op = ObservationOperator(11, [0, 4, 7])
+        op = ObservationOperator(11, 3)
         rng = np.random.default_rng(16)
         x = rng.normal(size=11)
+        assert np.array_equal(op.indices, [0, 3, 6, 9])
         assert np.array_equal(np.eye(11)[op.indices] @ x, op.observe(x))
 
     def test_batched_observe(self):
-        op = ObservationOperator(6, [1, 3])
+        op = ObservationOperator(6, 3, r=0.5)
         X = np.arange(12.0).reshape(2, 6)
-        assert np.array_equal(op.observe(X), X[:, [1, 3]])
+        assert np.array_equal(op.observe(X), X[:, [0, 3]])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ObservationOperator(5, [5])
-        with pytest.raises(ValueError):
-            ObservationOperator(5, [1, 1])
-        with pytest.raises(ValueError):
-            ObservationOperator(5, [])
+        for stride in (0, -1):
+            with pytest.raises(ValueError, match="stride"):
+                ObservationOperator(5, stride)
+        assert np.array_equal(ObservationOperator(5, 5).indices, [0])
