@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -388,19 +387,22 @@ def default_workers():
 def run_experiment(config, workers=None):
     """Run all replicates of a configuration and aggregate their RMSE.
 
-    Replicates run on a process pool (``workers=1`` forces serial execution;
-    the default comes from the SPARSEKF_WORKERS environment variable or the
-    available parallelism). Failed replicates are excluded from aggregates
-    but counted in the summary.
+    Replicates run on a process pool of at most one worker per replicate
+    (``workers=1`` forces serial execution, which loads no pool; the default
+    comes from the SPARSEKF_WORKERS environment variable or the available
+    parallelism). Failed replicates are excluded from aggregates but counted
+    in the summary.
     """
     config.validate()
     if workers is None:
         workers = default_workers()
+    workers = min(workers, config.n_replicates)
     tasks = [(config, r) for r in range(config.n_replicates)]
-    if workers <= 1 or config.n_replicates == 1:
+    if workers <= 1:
         results = [run_replicate(config, r) for r in range(config.n_replicates)]
     else:
         import multiprocessing as mp
+        from concurrent.futures import ProcessPoolExecutor
 
         ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:

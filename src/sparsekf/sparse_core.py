@@ -30,7 +30,8 @@ Contents:
   - GainLayout / gain_layout / band_gain: the Kalman gain's band
     C M^-1 C^T and C M^-1 v for a band observed at every stride-th state
     with noise r I, from a band factor of M = A[oi, oi] + r I and its
-    selected inverse, with no m x m or n x m array
+    selected inverse, contracted through strided views of that inverse's
+    band: O(n Nsp^2) work and O(n Nsp) memory, no m x m or n x m array
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 
 class FactorizationError(RuntimeError):
@@ -953,15 +954,8 @@ def min_eigenvalue(P, info=None):
 # ---------------------------------------------------------------------------
 # Structured Kalman gain on a band observed at a regular stride
 
-# GainLayout.gather evaluates its index expression, about six temporaries of
-# the block's size, on blocks of rows whose index takes at most this many
-# bytes. A small layout is built in one piece; at n = 10240 the peak is 1.2 to
-# 1.6 times the result, against 5 times in one piece.
-GATHER_BLOCK_BYTES = 2**19
-
-
 class GainLayout:
-    """Cached index arrays of ``band_gain`` for one observation geometry.
+    """The observation geometry of ``band_gain`` and its one cached index.
 
     A is a SparseSymMatrix on the cyclic band of half bandwidth k on n
     states. It is observed at ``stride * alpha``, alpha < m = n / stride.
@@ -971,6 +965,10 @@ class GainLayout:
     ``width`` is the largest observation-space distance between the window
     entries of two states at most h apart, which is the reach of the band of
     ``C M^-1 C^T`` on the pattern ``SparsityPattern(n, h)``.
+
+    The windows start at ceil((i - k) / stride), so after a roll by
+    ``roll`` states they come in m groups of ``stride``: the states ``roll +
+    g * stride + r`` (mod n), r < stride, share the window start g.
     """
 
     def __init__(self, n, k, h, stride):
@@ -980,10 +978,11 @@ class GainLayout:
         self.m, self.q = n // stride, int((stop - start).max()) + 1
         self.width = int(max((start[d:d + n] - start[:n]).max() for d in range(h + 1))) \
             + self.q - 1
+        self.roll = (k + 1 - stride) % n  # start[roll] = 0
         self._geometry = (n, k, h, stride)
-        self._start, self._stop = start[:n], stop[:n]
+        self._start = start[:n]
 
-    # The index arrays are built on first use: only the structured path uses them.
+    # The patterns and the index are built on first use: only the structured path uses them.
 
     @cached_property
     def pattern(self):
@@ -996,61 +995,51 @@ class GainLayout:
         """The pattern of M in observation space: half bandwidth ``width``."""
         return SparsityPattern(self.m, self.width)
 
-    @cached_property
+    @property
     def windows(self):
         """(n, q) observed indices of the local rows of C."""
-        return _read_only((self._start[:, None] + np.arange(self.q)) % self.m)
+        return (self._start[:, None] + np.arange(self.q)) % self.m
 
     @cached_property
-    def _rows(self):
-        """Flat band index of every C[i, a], or n*(k+1) (the trailing zero)."""
-        n, k, _, stride = self._geometry
-        inside = self._start[:, None] + np.arange(self.q) <= self._stop[:, None]
-        return _read_only(np.where(
-            inside, _band_index(n, k, np.arange(n)[:, None], stride * self.windows),
-            n * (k + 1)))
-
-    @cached_property
-    def _observed(self):
-        n, k, _, stride = self._geometry
-        alpha = np.arange(self.m)[:, None]
-        return _read_only(_band_index(
-            n, k, stride * alpha,
-            stride * ((alpha + np.arange(self.width + 1)) % self.m)))  # (m, width+1)
-
-    def local_rows(self, A):
-        """(n, q) rows of C = A[:, observed] at ``windows``."""
-        return _take(A, self._rows)
-
-    def observed(self, A, r):
-        """``A[observed][:, observed] + r I`` on ``obs_pattern``."""
-        M = _take(A, self._observed)
-        M[:, 0] += r
-        return SparseSymMatrix(self.obs_pattern, M)
-
-    @cached_property
-    def gather(self):
-        """(n, h+1, q, q) flat indices of the selected inverse of M's factor
-        (``CyclicReduction.selected_inverse``, diag and sub concatenated) at
-        the pairs (windows[i, a], windows[i + d, c]) of band slot (i, d).
-        Built in blocks of rows of at most GATHER_BLOCK_BYTES, so that the
-        temporaries of one block stay smaller than a large result."""
+    def inverse_rows(self):
+        """(m + q - 1, width + q) flat indices into the selected inverse of M's
+        factor (``CyclicReduction.selected_inverse``, diag and sub
+        concatenated): entry [t, j] is Z[t, t + j - q + 1], indices mod m."""
         rows, position = _block_rows(self.m, max(self.width, REDUCTION_ROWS))
         N, p = rows.shape
-        n, _, h, _ = self._geometry
-        index = np.empty((n, h + 1, self.q, self.q), dtype=np.intp)
-        step = max(1, GATHER_BLOCK_BYTES // index[0].nbytes)
-        for start in range(0, n, step):
-            part = slice(start, start + step)
-            a = position[self.windows[part]][:, None, :, None]
-            c = position[self.windows[self.pattern.band_columns[part]]][:, :, None, :]
-            (ka, ra), (kc, rc) = divmod(a, p), divmod(c, p)
-            index[part] = np.where(ka == kc, (ka * p + ra) * p + rc,  # Z[a, c] in diag[ka]
-                np.where(kc == (ka + 1) % N, ((N + ka) * p + rc) * p + ra,  # Z[c, a] in sub[ka]
-                np.where(ka == (kc + 1) % N, ((N + kc) * p + ra) * p + rc, -1)))  # sub[kc]
-        if index.min() < 0:
-            raise ValueError("the gain's reach exceeds the selected inverse")
-        return _read_only(index)
+        t = np.arange(self.m + self.q - 1)[:, None]
+        a = position[t % self.m]
+        c = position[(t + np.arange(self.width + self.q) - self.q + 1) % self.m]
+        (ka, ra), (kc, rc) = divmod(a, p), divmod(c, p)
+        return _read_only(np.where(ka == kc, (ka * p + ra) * p + rc,  # Z[a, c] in diag[ka]
+            np.where(kc == (ka + 1) % N, ((N + ka) * p + rc) * p + ra,  # Z[c, a] in sub[ka]
+                     ((N + kc) * p + ra) * p + rc)))  # Z[a, c] in sub[kc]: ka = kc + 1
+
+    def local_rows(self, A):
+        """(n, q) rows of C = A[:, observed] at ``windows``. Row i reads A's
+        row at the offsets stride * (start + a) - i, which depend on i mod
+        stride only: every stride-th of the row's 2k + 1 values, zero past k."""
+        n, k, _, stride = self._geometry
+        band = np.concatenate([A.band[n - k:], A.band])  # rows from -k
+        row, item = band.strides
+        full = np.zeros((n, 2 * k + 1 + stride))  # A[i, i + c - k] at column c
+        full[:, :k + 1] = as_strided(band[0, k:], shape=(n, k + 1), strides=(row, row - item))
+        full[:, k:2 * k + 1] = A.band
+        rows = np.empty((n, self.q))
+        for rho in range(stride):
+            c = k + stride * self._start[rho] - rho  # the column of a = 0
+            rows[rho::stride] = full[rho::stride, c:c + stride * self.q:stride]
+        return rows
+
+    def observed(self, A, r):
+        """``A[observed][:, observed] + r I`` on ``obs_pattern``: every
+        stride-th band slot of every stride-th row, zero past k."""
+        stride = self._geometry[3]
+        M = np.zeros((self.m, self.width + 1))
+        band = A.band[::stride, ::stride]
+        M[:, :band.shape[1]] = band
+        M[:, 0] += r
+        return SparseSymMatrix(self.obs_pattern, M)
 
 
 @lru_cache(maxsize=16)
@@ -1071,15 +1060,33 @@ def band_gain(M, rows, layout, rhs):
     ``M`` is the observation-space band (``layout.observed``) and ``rows``
     the local rows of C (``layout.local_rows``). M is factored on its band
     (CyclicReduction, which raises ``np.linalg.LinAlgError`` when M is not
-    positive definite); the entries of M^-1 that the band needs all lie in
-    its selected inverse, so the band is one gather and one contraction:
-    O(n (h+1) q^2), no m x m or n x m array. Returns (SparseSymMatrix on
-    ``layout.pattern``, list of C M^-1 v, list of M^-1 v).
+    positive definite); the entries of Z = M^-1 that the band needs all lie
+    in its selected inverse, read once as the band ``Zb`` of
+    ``layout.inverse_rows``. In the group order of ``layout.roll`` the
+    states of group g share the block ``Z[g + a, g + e]``, a < q, e <=
+    width, a strided view of Zb; one contraction gives ``y = C Z`` on those
+    blocks, and band slot (i, d) reads y at static offsets. O(n q (width +
+    h)) work and O(n width) memory, no m x m or n x m array. Returns
+    (SparseSymMatrix on ``layout.pattern``, list of C M^-1 v, list of M^-1 v).
     """
     F = CyclicReduction(M)
-    solved = list(F.solve(np.stack(rhs, axis=1)).T)
-    Z = np.concatenate([a.ravel() for a in F.selected_inverse()])[layout.gather]
-    partner = rows[layout.pattern.band_columns]  # rows of C at (i + d) % n
-    T = np.einsum("ia,ida->id", rows, np.einsum("idac,idc->ida", Z, partner))
-    products = [np.einsum("ia,ia->i", rows, x[layout.windows]) for x in solved]
-    return SparseSymMatrix(layout.pattern, T), products, solved
+    X = F.solve(np.stack(rhs, axis=1))
+    m, q, width, roll = layout.m, layout.q, layout.width, layout.roll
+    n, h = layout.pattern.n, layout.pattern.half_bandwidth
+    stride = n // m
+    Zb = np.concatenate([a.ravel() for a in F.selected_inverse()])[layout.inverse_rows]
+    row, item = Zb.strides
+    V = as_strided(Zb[0, q - 1:], shape=(m, q, width + 1), strides=(row, row - item, item),
+                   writeable=False)  # V[g, a, e] = Z[g + a, g + e]
+    R = np.take(rows, np.arange(roll, roll + n + h), axis=0, mode="wrap")  # group order
+    groups = R[:n].reshape(m, stride, q)
+    y = groups @ V  # (C Z)[roll + g stride + r, g + e]
+    T = np.empty((m, stride, h + 1))
+    for r in range(stride):
+        for d in range(h + 1):
+            s = (r + d) // stride  # the window of state i + d starts s after that of i
+            T[:, r, d] = np.einsum("ga,ga->g", y[:, r, s:s + q], R[r + d:r + d + n:stride])
+    windows = np.swapaxes(sliding_window_view(np.concatenate([X, X[:q - 1]]), q, axis=0), 1, 2)
+    products = np.roll((groups @ windows).reshape(n, -1), roll, axis=0)  # C M^-1 v
+    return SparseSymMatrix(layout.pattern, np.roll(T.reshape(n, h + 1), roll, axis=0)), \
+        list(products.T), list(X.T)

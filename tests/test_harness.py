@@ -1,7 +1,11 @@
 """Harness tests: truth/observations, RMSE, aggregation, CSV, CLI."""
 
+import concurrent.futures
 import csv
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -27,6 +31,14 @@ from sparsekf.harness import (
     write_runs_csv,
     write_summary_csv,
 )
+
+
+def _src_env():
+    """The environment of a child interpreter that imports sparsekf from this
+    checkout's src/."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def tiny_config(**kw):
@@ -221,6 +233,33 @@ class TestRunExperiment:
             assert a.gamma_activations == b.gamma_activations
         assert serial.stats.median == parallel.stats.median
 
+    def test_pool_has_at_most_one_worker_per_replicate(self, monkeypatch):
+        requested = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kw):
+                requested.append(max_workers)
+                super().__init__(max_workers=max_workers, **kw)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        cfg = tiny_config(n_replicates=2)
+        pooled = run_experiment(cfg, workers=8)
+        assert requested == [2]
+        assert pooled.results == run_experiment(cfg, workers=1).results
+
+    def test_serial_run_loads_no_process_pool(self):
+        script = (
+            "import sys\n"
+            "import sparsekf\n"
+            "from sparsekf.harness import ExperimentConfig, run_experiment\n"
+            "run_experiment(ExperimentConfig(n_steps=2, n_replicates=2), workers=1)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], env=_src_env(), timeout=120,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"
+
     def test_summary_consistent_with_results(self):
         cfg = tiny_config(n_replicates=5)
         s = run_experiment(cfg, workers=1)
@@ -374,6 +413,13 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 7  # header + 6 states
         assert lines[0].startswith("step,x0,")
+
+    def test_module_entry_point(self, tmp_path):
+        out = tmp_path / "truth.csv"
+        subprocess.run([sys.executable, "-m", "sparsekf", "truth", "--n-steps", "3",
+                        "--out", str(out)], env=_src_env(), cwd=tmp_path, timeout=120,
+                       check=True, capture_output=True)
+        assert len(out.read_text().strip().split("\n")) == 5  # header + 4 states
 
     def test_truth_subcommand_writes_the_truth_of_replicate_0(self, tmp_path, monkeypatch):
         out = tmp_path / "truth.csv"

@@ -11,7 +11,6 @@ from sparsekf.sparse_core import (
     CyclicBandCholesky,
     CyclicReduction,
     FactorizationError,
-    GainLayout,
     SparseColumns,
     SparseSymMatrix,
     SparsityPattern,
@@ -537,22 +536,39 @@ class TestCyclicReduction:
             tracemalloc.reset_peak()
             F.selected_inverse()
             selected = tracemalloc.get_traced_memory()[1]
-            # the sparse UKF's gain at n = 10240: a 15 MiB (n, 4, 7, 7) index,
-            # built with less than one more array of its size
-            layout = GainLayout(n, 2 * h, h, 2)
-            _ = layout.windows, layout.pattern  # the small index arrays it reads
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            index = layout.gather
-            gather = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert max(factor, solve, selected) < 64 * 2**20, (factor, solve, selected)
-        assert index.shape == (n, h + 1, 7, 7)
-        assert gather < 2 * index.nbytes, (gather, index.nbytes)
         rows, cols = P.column_values(), P.pattern.offset_columns
         residual = np.einsum("ij,ij->i", rows, x[cols]) - v  # band matvec
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(v)
+
+
+class TestBandGainMemory:
+    """One warm band_gain holds O(n width) floats: no (n, h+1, q, q) array of
+    the selected inverse, and the layout caches one index of Zb's size."""
+
+    @pytest.mark.parametrize("n,k,h,stride,bound", [
+        (2560, 20, 10, 2, 12 * 2**20),  # the sparse UKF at Nsp = 21
+        (10240, 6, 3, 2, 8 * 2**20),  # the sparse UKF at Nsp = 7
+    ])
+    def test_peak_is_linear_in_n(self, n, k, h, stride, bound):
+        rng = np.random.default_rng(n + k)
+        layout = gain_layout(n, k, h, stride)
+        V = rng.normal(size=(3, n, 2 * k + 1))
+        p = SparsityPattern(n, k)
+        A = SparseSymMatrix(p, local_outer_sum(V, 0.1, p).band[:, :k + 1])
+        M, rows, rhs = layout.observed(A, 1.0), layout.local_rows(A), [rng.normal(size=layout.m)]
+        band_gain(M, rows, layout, rhs)  # builds the layout's index
+        tracemalloc.start()
+        try:
+            band_gain(M, rows, layout, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak
+        cached = [a for a in vars(layout).values() if isinstance(a, np.ndarray)]
+        assert cached and sum(a.nbytes for a in cached) < 2**20
 
 
 class TestSelectedInverse:
@@ -629,7 +645,9 @@ class TestGainLayout:
 
 class TestBandGain:
     @pytest.mark.parametrize("n,k,h,stride", [(640, 6, 3, 2), (640, 3, 3, 2), (768, 9, 4, 3),
-                                              (512, 3, 3, 1)])
+                                              (512, 3, 3, 1),
+                                              (1280, 20, 10, 2),  # sparse UKF, Nsp = 21
+                                              (1536, 15, 10, 3)])
     def test_matches_dense_solve(self, n, k, h, stride):
         rng = np.random.default_rng(2 * n + k)
         oi = stride * np.arange(n // stride)
