@@ -14,17 +14,19 @@ Contents:
   - restricted_outer_accumulate / restricted_product: pattern-limited products
   - local_outer_sum: the sum of outer products of column-local vectors, a
     band of twice the half bandwidth
-  - cholesky_with_jitter: the jitter retry schedule shared by every factor
-  - CyclicBandCholesky: exact O(n b^2) factor of a cyclic band in natural
-    order, block by block; incomplete_cholesky reads the sigma points from
-    it. uses_structured_path decides from (n, h) when a band factor replaces
+  - cholesky_with_jitter: the jitter retry schedule shared by every factor;
+    uses_structured_path decides from (n, h) when a band factor replaces
     the dense one
-  - CyclicReduction: the same matrix factored by odd-even block cyclic
-    reduction, O(log n) batched levels, with solves and the selected inverse
-    (the blocks of its inverse on the cyclic block-tridiagonal pattern); it
-    serves every use that needs *a* factor: the gamma repair's certificate,
-    min_eigenvalue and band_gain
-  - incomplete_cholesky: pattern-restricted factorization with jitter retries
+  - CyclicReduction: the one band factorization, odd-even block cyclic
+    reduction in O(log n) batched levels, with solves and the selected
+    inverse (the blocks of its inverse on the cyclic block-tridiagonal
+    pattern); it serves the gamma repair's certificate, min_eigenvalue,
+    band_gain and the natural-order factor
+  - cyclic_band_cholesky: the pattern columns of the natural-order factor
+    of a cyclic band, one window solve per column against the selected
+    inverse of its leading block, plus a border of h to h + b - 1 rows
+  - incomplete_cholesky: pattern-restricted factorization with jitter
+    retries; its columns are the sigma points
   - min_eigenvalue: smallest eigenvalue of the represented symmetric matrix,
     certified by shifted factorizations on the structured path
   - GainLayout / gain_layout / band_gain: the Kalman gain's band
@@ -75,16 +77,25 @@ class SparsityPattern:
         else:
             offsets = np.arange(-h, h + 1)
         self.offsets = offsets
-        # (n, nsp): row i = column i indices in offset order, i.e. i + offsets
-        # (mod n); consecutive entries are cyclic neighbours.
-        self.offset_columns = (np.arange(n)[:, None] + offsets[None, :]) % n
-        # (n, h+1): column (i + d) mod n of band slot (i, d), see SparseSymMatrix
-        self.band_columns = (np.arange(n)[:, None] + np.arange(h + 1)[None, :]) % n
 
     @property
     def nsp(self):
         """Number of admissible entries per column."""
         return self.offsets.size
+
+    # The index arrays are built on first use: many patterns never read them.
+
+    @cached_property
+    def offset_columns(self):
+        """(n, nsp): row i = column i indices in offset order, i.e. i +
+        offsets (mod n); consecutive entries are cyclic neighbours."""
+        return _read_only((np.arange(self.n)[:, None] + self.offsets[None, :]) % self.n)
+
+    @cached_property
+    def band_columns(self):
+        """(n, h+1): column (i + d) mod n of band slot (i, d), see SparseSymMatrix."""
+        d = np.arange(self.half_bandwidth + 1)
+        return _read_only((np.arange(self.n)[:, None] + d) % self.n)
 
     @cached_property
     def column_slots(self):
@@ -357,9 +368,9 @@ def _sum_layout(n, h):
 JITTER_START = 1e-10  # first jitter of the retry schedule; it doubles on each retry
 JITTER_RETRIES = 20
 
-# The structured factorization splits the ring into blocks of at least
-# BLOCK_ROWS rows (and at least h); it is used when that gives MIN_BLOCKS or
-# more blocks. Below that, one dense LAPACK call beats the block loop.
+# The dense/structured crossover: a band is factored on its band when n is
+# at least MIN_BLOCKS * max(BLOCK_ROWS, h); below that, one dense LAPACK call
+# is as fast. The two constants set nothing else.
 BLOCK_ROWS = 32
 MIN_BLOCKS = 8
 
@@ -397,8 +408,8 @@ def cholesky_with_jitter(A, factor=_dense_cholesky):
 
 def uses_structured_path(n, h):
     """True when an (n, h) cyclic band is factored on its band
-    (CyclicBandCholesky or CyclicReduction) rather than through the dense
-    n x n matrix."""
+    (CyclicReduction, and cyclic_band_cholesky built on it) rather than
+    through the dense n x n matrix."""
     return n >= MIN_BLOCKS * max(BLOCK_ROWS, h)
 
 
@@ -422,156 +433,9 @@ def _column_index(n, h, cols_key):
     return _read_only(_band_index(n, h, cols[None, :], np.arange(n)[:, None]))
 
 
-def _block_entry(n, b, row, col):
-    """Flat index of entry (row, col), row >= col, in the concatenation of
-    the ``diag``, ``sub`` and ``last`` arrays of a CyclicBandCholesky factor
-    with blocks of b rows; -1 where the entry lies in none of them (two
-    blocks apart, neither in the last block row)."""
-    N = n // b
-    top = (N - 1) * b
-    block_r, block_c = np.minimum(row // b, N - 1), np.minimum(col // b, N - 1)
-    n_diag, n_sub = (N - 1) * b * b, (N - 2) * b * b
-    inside = (row % b) * b + col % b
-    return np.where(
-        block_r == N - 1, n_diag + n_sub + (row - top) * n + col,
-        np.where(block_r == block_c, block_c * b * b + inside,
-                 np.where(block_r == block_c + 1, n_diag + block_c * b * b + inside, -1)))
-
-
-@lru_cache(maxsize=16)
-def _block_layout(n, h, b):
-    """Gather indices of the cyclic block-tridiagonal partition into blocks
-    0..N-2 of b rows and a last block of the remaining bl (b <= bl < 2b)
-    rows, N >= 2.
-
-    ``diag`` (N-1, b, b) and ``sub`` (N-2, b, b) index the diagonal blocks
-    and the couplings of block k+1 to block k below the last block; ``last``
-    (bl, n) indexes the last block row. ``restrict`` (n, nsp) indexes the
-    concatenation of the factor's diag, sub and last arrays (plus a zero)
-    at the pattern entries of every column, aligned with ``offset_columns``.
-    """
-    N = n // b
-    top = (N - 1) * b  # first row of the last block
-    k = np.arange(N - 1)[:, None, None]
-    r = np.arange(b)[None, :, None]
-    c = np.arange(b)[None, None, :]
-    diag = _band_index(n, h, k * b + r, k * b + c)
-    sub = _band_index(n, h, (k[:-1] + 1) * b + r, k[:-1] * b + c)
-    last = _band_index(n, h, np.arange(top, n)[:, None], np.arange(n)[None, :])
-
-    row = SparsityPattern(n, h).offset_columns
-    col = np.broadcast_to(np.arange(n)[:, None], row.shape)
-    zero = (N - 1) * b * b + (N - 2) * b * b + (n - top) * n
-    restrict = np.where(row >= col, _block_entry(n, b, row, col), zero)
-    return tuple(_read_only(a) for a in (diag, sub, last, restrict))
-
-
-def _tril_inverse(L):
-    """Inverses of a stack (k, m, m) of lower-triangular matrices.
-
-    Recursive doubling on diagonal blocks, [[X, 0], [C, Y]]^-1 =
-    [[X^-1, 0], [-Y^-1 C X^-1, Y^-1]], from 1 x 1 blocks up to m padded to a
-    power of two: matrix products only, which for blocks of a few dozen rows
-    are several times faster than LAPACK's solvers called through numpy.
-    """
-    k, m, _ = L.shape
-    size = 1 << max(m - 1, 0).bit_length()
-    A = np.zeros((k, size, size))
-    A[:, :m, :m] = L
-    pad = np.arange(m, size)
-    A[:, pad, pad] = 1.0
-    d = np.arange(size)
-    inv = (1.0 / A[:, d, d])[:, :, None, None]  # (k, blocks, s, s) inverses of diagonal blocks
-    s = 1
-    while s < size:
-        nb = size // (2 * s)
-        p = np.arange(nb)
-        coupling = A.reshape(k, nb, 2 * s, nb, 2 * s)[:, p, s:, p, :s].swapaxes(0, 1)
-        X, Y = inv[:, 0::2], inv[:, 1::2]
-        inv = np.zeros((k, nb, 2 * s, 2 * s))
-        inv[..., :s, :s] = X
-        inv[..., s:, s:] = Y
-        inv[..., s:, :s] = -(Y @ coupling @ X)
-        s *= 2
-    return inv[:, 0, :m, :m]
-
-
-class CyclicBandCholesky:
-    """Exact lower Cholesky factor of ``scale * P + shift * I`` for P on a
-    cyclic band, built without an n x n array.
-
-    With blocks of b >= h rows the cyclic band is cyclic block-tridiagonal,
-    so the factor is block-bidiagonal (``diag`` blocks and their ``sub``
-    couplings) plus a dense border: the last block row ``last`` (bl x n),
-    which also holds the last diagonal block. The work is O(n b^2):
-
-    - block k and its coupling to block k+1 come from one
-      ``np.linalg.cholesky`` of the 2b x 2b window [[S_k, C_k^T], [C_k,
-      D_{k+1}]], S_k being the Schur complement of block k (the window is a
-      Schur complement of a leading principal submatrix);
-    - the border follows from the block inverses (``_tril_inverse``), and
-      the last diagonal block from its Schur complement.
-
-    A block that fails to factor raises ``np.linalg.LinAlgError``: the
-    shifted matrix is then not positive definite. Non-finite input raises
-    FactorizationError.
-    """
-
-    def __init__(self, P, scale=1.0, shift=0.0):
-        n, h = P.pattern.n, P.pattern.half_bandwidth
-        b = max(BLOCK_ROWS, h)
-        if n < 2 * b:
-            raise ValueError(f"the structured factorization needs n >= {2 * b}, got n={n}")
-        _check_finite(P.band)
-        band = np.empty(n * (h + 1) + 1)
-        band[:-1] = (scale * P.band).ravel()
-        band[:-1:h + 1] += shift
-        band[-1] = 0.0
-        diag_idx, sub_idx, last_idx, self._restrict = _block_layout(n, h, b)
-        D, C, B = band[diag_idx], band[sub_idx], band[last_idx]
-        N, top = n // b, (n // b - 1) * b
-        self.n, self.b, self._blocks, self._top = n, b, N, top
-        window = np.empty((2 * b, 2 * b))
-        S = D[0]
-        for k in range(N - 2):
-            window[:b, :b] = S
-            window[b:, :b] = C[k]
-            window[:b, b:] = C[k].T
-            window[b:, b:] = D[k + 1]
-            F = np.linalg.cholesky(window)
-            D[k], C[k] = F[:b, :b], F[b:, :b]
-            S = D[k + 1] - C[k] @ C[k].T
-        D[N - 2] = np.linalg.cholesky(S)
-        inv = _tril_inverse(D)
-        border = B[:, :top]
-        for k in range(N - 1):  # border L[last, k] = (A[last, k] - L[last, k-1] L[k, k-1]^T) L[k, k]^-T
-            s = slice(k * b, (k + 1) * b)
-            if k:
-                border[:, s] -= border[:, s.start - b:s.start] @ C[k - 1].T
-            border[:, s] = border[:, s] @ inv[k].T
-        B[:, top:] = np.linalg.cholesky(B[:, top:] - border @ border.T)
-        self.diag, self.sub, self.last = D, C, B
-
-    def pattern_values(self):
-        """(n, nsp) factor entries at the pattern, in offset order (aligned
-        with ``pattern.offset_columns``)."""
-        flat = np.concatenate([self.diag.ravel(), self.sub.ravel(), self.last.ravel(), [0.0]])
-        return flat[self._restrict]
-
-    def to_dense(self):
-        n, b, N, top = self.n, self.b, self._blocks, self._top
-        L = np.zeros((n, n))
-        for k in range(N - 1):
-            L[k * b:(k + 1) * b, k * b:(k + 1) * b] = self.diag[k]
-            if k < N - 2:
-                L[(k + 1) * b:(k + 2) * b, k * b:(k + 1) * b] = self.sub[k]
-        L[top:] = self.last
-        return L
-
-
 # ---------------------------------------------------------------------------
-# Block cyclic reduction: a factor in odd-even order, for every use that needs
-# *a* factor (a verdict, solves, a selected inverse) and not the natural one
+# Block cyclic reduction: a factor in odd-even order, the one band
+# factorization; the natural-order factor is read from its selected inverse
 
 # Blocks of the reduction have at least REDUCTION_ROWS rows (and at least h);
 # once a level has at most BASE_ROWS rows (and always at two blocks) the rest
@@ -616,6 +480,19 @@ def _reduction_layout(n, h, b):
 
     pad = tuple(_read_only(a) for a in np.nonzero(rows < 0))
     return _read_only(gather(rows, rows)), _read_only(gather(below, rows)), pad
+
+
+def _inverse_index(m, b, a, c):
+    """Flat indices of the entries Z[a, c] (indices mod m) in the selected
+    inverse of a reduction with blocks of b rows on m rows
+    (``CyclicReduction.selected_inverse``, diag and sub concatenated); a and
+    c lie in one block or in two cyclically adjacent ones."""
+    rows, position = _block_rows(m, b)
+    N, p = rows.shape
+    (ka, ra), (kc, rc) = divmod(position[a % m], p), divmod(position[c % m], p)
+    return np.where(ka == kc, (ka * p + ra) * p + rc,  # Z[a, c] in diag[ka]
+        np.where(kc == (ka + 1) % N, ((N + ka) * p + rc) * p + ra,  # Z[c, a] in sub[ka]
+                 ((N + kc) * p + ra) * p + rc))  # Z[a, c] in sub[kc]: ka = kc + 1
 
 
 def _transpose(X):
@@ -772,6 +649,105 @@ class CyclicReduction:
         return L.reshape(N * b, N * b)[np.ix_(real, real)], rows[real]
 
 
+@lru_cache(maxsize=16)
+def _factor_layout(n, h):
+    """The split and the indices of ``cyclic_band_cholesky`` on (n, h).
+
+    The leading m = n - border rows, border = h + (n - h) mod b and b =
+    max(h, REDUCTION_ROWS), are a whole number of reduction blocks and do
+    not reach the wrap, so they form a plain band. The border rows meet them
+    only in their first and last h columns, so the border's part of the
+    factor lives in the columns ``cols``: those 2h and the border's own.
+    Returns m and
+
+    - ``windows`` (m, h+1, h+1): entry [j, a, c] is Z[j + h - a, j + h - c]
+      of the leading block's inverse Z, the window of column j reversed, in
+      the selected inverse with a 0 and a 1 appended (rows past m read the
+      identity, the entries that cross m read 0);
+    - ``corner`` (2h, 2h): Z at the first and the last h leading rows;
+    - ``coupling`` (border, 2h + border): A[m:, cols] in the band (``_take``);
+    - ``gather`` (n, nsp): the pattern columns of the factor in offset order
+      in the leading columns' bands (m, h+1) and the border rows (border,
+      cols), concatenated with a zero.
+    """
+    b = max(h, REDUCTION_ROWS)
+    border = h + (n - h) % b
+    m = n - border
+    end = 2 * m * b  # the appended 0 (blocks of exactly b rows); the 1 follows it
+    t, e = np.arange(m + h)[:, None], np.arange(h + 1)
+    band = np.where(t + e < m, _inverse_index(m, b, t, t + e), end + ((t >= m) & (e == 0)))
+    a = np.arange(h + 1)
+    windows = band[np.arange(m)[:, None, None] + h - np.maximum(a[:, None], a),
+                   np.abs(a[:, None] - a)]
+    lead = np.concatenate([np.arange(h), np.arange(m - h, m)])
+    cols = np.concatenate([lead, np.arange(m, n)])
+    j = np.arange(n)[:, None]
+    r = (j + SparsityPattern(n, h).offsets) % n  # factor rows, upper ones (r < j) read 0
+    border_slot = m * (h + 1) + (r - m) * cols.size + np.where(j < h, j, j - m + 2 * h)
+    gather = np.where(r < j, m * (h + 1) + border * cols.size,
+                      np.where(r < m, j * (h + 1) + r - j, border_slot))
+    return m, tuple(_read_only(x) for x in (
+        windows, _inverse_index(m, b, lead[:, None], lead),
+        _band_index(n, h, np.arange(m, n)[:, None], cols), gather))
+
+
+def _lower(band, start, h):
+    """The h x h lower-triangular block of the leading factor at rows and
+    columns start .. start + h - 1, from its column bands."""
+    i, k = np.arange(h)[:, None], np.arange(h)
+    return np.where(i >= k, band[start + k, np.maximum(i - k, 0)], 0.0)
+
+
+def cyclic_band_cholesky(P, scale=1.0, shift=0.0):
+    """Pattern columns of the lower Cholesky factor of ``scale * P + shift *
+    I`` in natural order, for P on a cyclic band, built without an n x n
+    array.
+
+    The leading block A11 (``_factor_layout``) is a plain band, so its
+    factor L11 has no fill and column j lives on the window s = j .. j + h.
+    With Z = A11^-1, Z L11 = L11^-T is upper triangular, so Z[s, s] L11[s,
+    j] = e_0 / L11[j, j]: each column is one small solve against the
+    selected inverse of one CyclicReduction (Takahashi, Fagan & Chin 1973).
+    The windows are factored reversed in one batched Cholesky, R R^T, which
+    leaves L11[s, j] reversed as R^-T e_h, h substitution steps. The border
+    rows follow from the corner of Z: L21 = A21 L11^-T is a triangular solve
+    on the first h columns and (A21 Z) L11 on the last h, and L22 = chol(A22
+    - A21 Z A12). O(n h^2) work in O(log n) batched levels.
+
+    A matrix that is not positive definite raises ``np.linalg.LinAlgError``
+    (from the reduction, a window or L22); non-finite input raises
+    FactorizationError. The rounding error grows with the condition number
+    of A11: up to 7.9e-9 max|A| at a smallest eigenvalue of 1e-8 in the
+    tests, against 1e-15 max|A| for well-conditioned bands.
+    """
+    n, h = P.pattern.n, P.pattern.half_bandwidth
+    _check_finite(P.band)
+    m, (windows, corner, coupling, gather) = _factor_layout(n, h)
+    lead = P.band[:m].copy()
+    lead[m - h:][np.add.outer(np.arange(h), np.arange(h + 1)) >= h] = 0.0  # the wrap
+    diag, sub = CyclicReduction(SparseSymMatrix(SparsityPattern(m, h), lead), scale,
+                                shift).selected_inverse()
+    Z = np.concatenate([diag.ravel(), sub.ravel(), [0.0, 1.0]])
+    R = np.linalg.cholesky(Z[windows])
+    y = np.zeros((m, h + 1))  # R^T y = e_h
+    y[:, h] = 1.0 / R[:, h, h]
+    for k in range(h - 1, -1, -1):
+        y[:, k] = -np.einsum("jl,jl->j", R[:, k + 1:, k], y[:, k + 1:]) / R[:, k, k]
+    band = y[:, ::-1]  # band[j, d] = L11[j + d, j]
+    A = scale * _take(P, coupling)
+    A[:, 2 * h:] += shift * np.eye(n - m)
+    A21, Zc = A[:, :2 * h], Z[corner]
+    first = A21[:, :h].copy()  # A21[:, :h] L11[:h, :h]^-T
+    top = _lower(band, 0, h)
+    for k in range(h):
+        first[:, k] = (first[:, k] - first[:, :k] @ top[k, :k]) / top[k, k]
+    last = A21 @ Zc[:, h:] @ _lower(band, m - h, h)
+    L22 = np.linalg.cholesky(A[:, 2 * h:] - A21 @ Zc @ A21.T)
+    border = np.concatenate([first, last, L22], axis=1)  # rows m.., columns as in cols
+    values = np.concatenate([band.ravel(), border.ravel(), [0.0]])
+    return SparseColumns(P.pattern, values[gather])
+
+
 def incomplete_cholesky(P, scale=1.0):
     """Incomplete Cholesky factor of ``scale * P``, restricted to P's pattern.
 
@@ -786,9 +762,9 @@ def incomplete_cholesky(P, scale=1.0):
     contributions are zeroed inside the recurrence.
 
     Large rings (``uses_structured_path``) are factored by
-    CyclicBandCholesky in O(n b^2); the rest through the dense n x n matrix.
-    Both retry on ``scale * P + jitter * I`` with the schedule of
-    ``cholesky_with_jitter``.
+    ``cyclic_band_cholesky``, one CyclicReduction per jitter tried, in
+    O(n h^2); the rest through the dense n x n matrix. Both retry on ``scale
+    * P + jitter * I`` with the schedule of ``cholesky_with_jitter``.
 
     Returns
     -------
@@ -801,8 +777,7 @@ def incomplete_cholesky(P, scale=1.0):
         raise ValueError(f"scale must be positive, got {scale}")
     pattern = P.pattern
     if uses_structured_path(pattern.n, pattern.half_bandwidth):
-        L, jitter = cholesky_with_jitter(P, lambda A, j: CyclicBandCholesky(A, scale, j))
-        return SparseColumns(pattern, L.pattern_values()), jitter
+        return cholesky_with_jitter(P, lambda A, j: cyclic_band_cholesky(A, scale, j))
     A = P.to_dense()
     A *= scale
     L, jitter = cholesky_with_jitter(A)
@@ -1005,15 +980,9 @@ class GainLayout:
         """(m + q - 1, width + q) flat indices into the selected inverse of M's
         factor (``CyclicReduction.selected_inverse``, diag and sub
         concatenated): entry [t, j] is Z[t, t + j - q + 1], indices mod m."""
-        rows, position = _block_rows(self.m, max(self.width, REDUCTION_ROWS))
-        N, p = rows.shape
         t = np.arange(self.m + self.q - 1)[:, None]
-        a = position[t % self.m]
-        c = position[(t + np.arange(self.width + self.q) - self.q + 1) % self.m]
-        (ka, ra), (kc, rc) = divmod(a, p), divmod(c, p)
-        return _read_only(np.where(ka == kc, (ka * p + ra) * p + rc,  # Z[a, c] in diag[ka]
-            np.where(kc == (ka + 1) % N, ((N + ka) * p + rc) * p + ra,  # Z[c, a] in sub[ka]
-                     ((N + kc) * p + ra) * p + rc)))  # Z[a, c] in sub[kc]: ka = kc + 1
+        return _read_only(_inverse_index(self.m, max(self.width, REDUCTION_ROWS), t,
+                                         t + np.arange(self.width + self.q) - self.q + 1))
 
     def local_rows(self, A):
         """(n, q) rows of C = A[:, observed] at ``windows``. Row i reads A's

@@ -639,8 +639,7 @@ class TestSmallRingsMakeNoStructuredFactor:
         ("sparse_ukf", 160, 41, 1), ("progressive_ekf", 160, 41, 2),  # wideband-n160
     ])
     def test_no_band_factor_is_constructed(self, monkeypatch, name, n, nsp, n_p):
-        for owner, factor in [(sparse_core, "CyclicReduction"), (sparse_core, "CyclicBandCholesky"),
-                              (filters, "CyclicReduction")]:
+        for owner, factor in [(sparse_core, "CyclicReduction"), (filters, "CyclicReduction")]:
             forbid(monkeypatch, owner, factor)
         config = harness.ExperimentConfig(filter=name, n=n, nsp=nsp, n_p=n_p, n_steps=5,
                                           n_replicates=1, master_seed=66)

@@ -7,8 +7,8 @@ import pytest
 
 import sparsekf.filters as filters
 import sparsekf.harness as harness
+import sparsekf.sparse_core as sparse_core
 from sparsekf.sparse_core import (
-    CyclicBandCholesky,
     CyclicReduction,
     FactorizationError,
     SparseColumns,
@@ -16,6 +16,7 @@ from sparsekf.sparse_core import (
     SparsityPattern,
     band_gain,
     cholesky_with_jitter,
+    cyclic_band_cholesky,
     gain_layout,
     incomplete_cholesky,
     local_outer_sum,
@@ -62,6 +63,12 @@ class TestSparsityPattern:
         assert p.nsp == n
         for i in range(n):
             assert np.array_equal(np.sort(p.offset_columns[i]), np.arange(n))
+
+    def test_index_arrays_are_built_on_first_use_and_read_only(self):
+        p = SparsityPattern(12, 2)
+        assert not {"offset_columns", "band_columns", "column_slots"} & set(vars(p))
+        for index in (p.offset_columns, p.band_columns, p.column_slots):
+            assert not index.flags.writeable
 
     def test_invalid_bandwidth(self):
         with pytest.raises(ValueError):
@@ -425,8 +432,10 @@ def random_band_spd(rng, n, h, floor=0.05):
     return M.add_scaled_identity(floor - np.linalg.eigvalsh(M.to_dense())[0])
 
 
-# (n, h) on the structured side: n a multiple of the 32-row block and not,
-# h below the block size and equal to it
+# (n, h) on the structured side, h below and above the reduction's 4-row
+# block. cyclic_band_cholesky's border h' = h + (n - h) mod max(h, 4) rows is
+# h + 1 for (256, 3) and (300, 3), h + 2 for (641, 3), h for (256, 32) and
+# h + 13 for (333, 32)
 STRUCTURED = [(256, 3), (300, 3), (641, 3), (256, 32), (333, 32)]
 
 
@@ -442,35 +451,70 @@ class TestPathSelection:
 
 
 class TestCyclicBandCholesky:
+    """The structured natural-order factor against the pattern restriction of
+    numpy's dense Cholesky, to 1e-12 of max|A|."""
+
+    def check(self, P, scale=1.0, shift=0.0, tol=1e-12):
+        A = scale * P.to_dense() + shift * np.eye(P.n)
+        expected = np.where(dense_mask(P.pattern), np.linalg.cholesky(A), 0.0)
+        L = cyclic_band_cholesky(P, scale, shift)
+        assert np.abs(L.to_dense() - expected).max() <= tol * np.abs(A).max()
+
     @pytest.mark.parametrize("n,h", STRUCTURED)
     def test_matches_dense_cholesky(self, n, h):
-        rng = np.random.default_rng(n + h)
-        P = random_band_spd(rng, n, h)
-        A = P.to_dense()
-        L = CyclicBandCholesky(P)
-        assert np.abs(L.to_dense() - np.linalg.cholesky(A)).max() <= 1e-12 * np.abs(A).max()
+        self.check(random_band_spd(np.random.default_rng(n + h), n, h))
 
     @pytest.mark.parametrize("n,h", STRUCTURED)
     def test_scale_and_shift(self, n, h):
-        rng = np.random.default_rng(2 * n + h)
-        P = random_band_spd(rng, n, h)
-        A = 3.0 * P.to_dense() + 0.5 * np.eye(n)
-        L = CyclicBandCholesky(P, scale=3.0, shift=0.5)
-        assert np.abs(L.to_dense() - np.linalg.cholesky(A)).max() <= 1e-12 * np.abs(A).max()
+        self.check(random_band_spd(np.random.default_rng(2 * n + h), n, h), 3.0, 0.5)
+
+    @pytest.mark.parametrize("n,h", STRUCTURED)
+    def test_near_singular_band(self, n, h):
+        # lambda_min = 1e-8, about what the gamma repair leaves; the error
+        # grows with the condition number of the leading block (measured at
+        # most 7.9e-9 max|A| on these cases)
+        self.check(random_band_spd(np.random.default_rng(3 * n + h), n, h, floor=1e-8),
+                   tol=2e-8)
 
     @pytest.mark.parametrize("n,h", STRUCTURED)
     def test_failure_certifies_not_positive_definite(self, n, h):
         rng = np.random.default_rng(4 * n + h)
         P = random_band_spd(rng, n, h, floor=0.0)
         with pytest.raises(np.linalg.LinAlgError):
-            CyclicBandCholesky(P, shift=-1e-6)  # smallest eigenvalue -1e-6
-        CyclicBandCholesky(P, shift=1e-6)
+            cyclic_band_cholesky(P, shift=-1e-6)  # smallest eigenvalue -1e-6
+        cyclic_band_cholesky(P, shift=1e-6)
 
     def test_non_finite_input_raises(self):
         P = SparseSymMatrix.identity(SparsityPattern(256, 3))
         P.band[100, 2] = np.nan
         with pytest.raises(FactorizationError):
-            CyclicBandCholesky(P)
+            cyclic_band_cholesky(P)
+
+    @pytest.mark.parametrize("n,h", STRUCTURED)
+    def test_non_finite_border_raises(self, n, h):
+        # the last row lies in the border, outside the reduction's leading block
+        P = SparseSymMatrix.identity(SparsityPattern(n, h))
+        P.band[n - 1, h] = np.nan
+        with pytest.raises(FactorizationError):
+            cyclic_band_cholesky(P)
+
+    def test_memory_is_linear_in_n(self):
+        # cold caches, index arrays included (about 7.8 MiB for a 0.3 MiB band)
+        n, h = 10240, 3
+        rng = np.random.default_rng(12)
+        band = rng.normal(size=(n, h + 1))
+        band[:, 0] = 2.0 * h + 1.0 + rng.uniform(size=n)  # diagonally dominant
+        P = SparseSymMatrix(SparsityPattern(n, h), band)
+        for cached in (sparse_core._factor_layout, sparse_core._block_rows,
+                       sparse_core._reduction_layout):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            incomplete_cholesky(P, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20, peak
 
 
 class TestCyclicReduction:
@@ -569,6 +613,8 @@ class TestBandGainMemory:
         assert peak < bound, peak
         cached = [a for a in vars(layout).values() if isinstance(a, np.ndarray)]
         assert cached and sum(a.nbytes for a in cached) < 2**20
+        for pattern in (layout.pattern, layout.obs_pattern):  # band_gain reads no pattern index
+            assert not {"offset_columns", "band_columns", "column_slots"} & set(vars(pattern))
 
 
 class TestSelectedInverse:
