@@ -208,7 +208,7 @@ def _structured_gain(A, pattern, obs_op, rhs):
     A[oi, oi] + r I and the result on ``pattern``; None where the dense
     gain applies instead: a stride that does not divide n, an observation
     space too small for ``uses_structured_path``, or an M that does not
-    factor (the dense solve then decides)."""
+    factor (the dense gain then decides)."""
     layout = gain_layout(A.n, A.pattern.half_bandwidth, pattern.half_bandwidth, obs_op.stride)
     if layout is None:
         return None
@@ -218,24 +218,22 @@ def _structured_gain(A, pattern, obs_op, rhs):
         return None
 
 
-def _dense_gain(Pyy, Pxy, innov, oi, r):
-    """Gain K = Pxy Pyy^-1, K innov and Pyy^-1 innov from one dense solve,
-    once the noise r I is added to ``Pyy`` (in place).
+def _dense_gain(Pyy, Pxy, innov, r):
+    """Whitened dense gain (Bierman 1977) from one Cholesky factor of the
+    innovation covariance, once the noise r I is added to ``Pyy`` (in place).
 
-    The observed rows of Pxy are Pyy - r I, so K[oi] = I - r Pyy^-1 and
-    Pyy^-1 innov = (innov - (K innov)[oi]) / r. For r = 0 innov joins the
-    solve as one more right-hand side instead (measured at about 5 % of an
-    n = 160 cycle on a 2-core host with one BLAS thread, so it is kept off
-    the common case).
+    With Pyy = L L^T, W = L^-1 Pxy^T and z = L^-1 innov, the gain is K = W^T
+    L^-1, so K innov = W^T z, K Pxy^T = W^T W and innov^T Pyy^-1 innov = z.z.
+    Returns (W, W^T z, z.z). Raises FactorizationError when Pyy is not
+    positive definite.
     """
     Pyy.flat[::Pyy.shape[0] + 1] += r  # the diagonal, in place
-    if r != 0.0:
-        K = np.linalg.solve(Pyy, Pxy.T).T
-        Kd = K @ innov
-        return K, Kd, (innov - Kd[oi]) / r
-    X = np.linalg.solve(Pyy, np.column_stack([Pxy.T, innov]))
-    K = X[:, :-1].T
-    return K, K @ innov, X[:, -1]
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(Pyy))
+    except np.linalg.LinAlgError:
+        raise FactorizationError("innovation covariance is not positive definite") from None
+    W, z = L_inv @ Pxy.T, L_inv @ innov
+    return W, W.T @ z, float(z @ z)
 
 
 def _update(xb, Pb, A, innov, obs_op, sbar=None):
@@ -250,8 +248,8 @@ def _update(xb, Pb, A, innov, obs_op, sbar=None):
     band factor of M, and for sbar Sherman-Morrison gives Pyy^-1 from M^-1
     when 1 - u^T M^-1 u > 0, so that band(Pxy Pyy^-1 Pxy^T) = band(C M^-1
     C^T) + alpha v v^T - sbar sbar^T with v = C M^-1 u - sbar, alpha = 1 /
-    (1 - u^T M^-1 u). Elsewhere Pxy and Pyy are dense and one dense solve
-    gives the gain.
+    (1 - u^T M^-1 u). Elsewhere Pxy and Pyy are dense, and ``_dense_gain``
+    whitens them with one Cholesky factor of Pyy.
     """
     pattern = Pb.pattern
     oi = obs_op.indices
@@ -274,8 +272,8 @@ def _update(xb, Pb, A, innov, obs_op, sbar=None):
     Pxy = A.dense_columns(oi)
     if u is not None:
         Pxy -= np.outer(sbar, u)
-    K, Kd, Pyy_d = _dense_gain(Pxy[oi], Pxy, innov, oi, obs_op.r)
-    return xb + Kd, Pb - restricted_product(K, Pxy.T, pattern), float(innov @ Pyy_d) / oi.size
+    W, Kd, zz = _dense_gain(Pxy[oi], Pxy, innov, obs_op.r)
+    return xb + Kd, Pb - restricted_product(W.T, W, pattern), zz / oi.size
 
 
 def _analysis(xa, E, jitter, evals, innov=None, nis=0.0):
@@ -437,10 +435,10 @@ def dense_ukf_cycle(state, y_obs, model, obs_op, params):
     Pxy = (Xdev * w[:, None]).T @ Ydev
     Pyy = (Ydev * w[:, None]).T @ Ydev
     innov = y_obs - yb_mean
-    K, Kd, Pyy_d = _dense_gain(Pyy, Pxy, innov, obs_op.indices, obs_op.r)
+    W, Kd, zz = _dense_gain(Pyy, Pxy, innov, obs_op.r)
     xa = xb_mean + Kd
-    Pa = Pb - K @ Pxy.T
+    Pa = Pb - W.T @ W
 
     diag = CycleDiagnostics(0.0, jitter, evals, float(np.linalg.norm(innov)),
-                            nis=float(innov @ Pyy_d) / innov.size)
+                            nis=zz / innov.size)
     return FilterState(xa, Pa, diag)

@@ -75,14 +75,19 @@ class ComponentModel:
         Rows of width n are states and are stepped whole. Rows of any other
         width are windows gathered from a state (see ``step_columns``): they
         are stepped by ``advance_windows``, which is exact at least the halo
-        inside both ends, so the requested entries must lie there. Each
-        requested entry counts as one evaluation.
+        inside both ends, so the requested entries must lie there; None asks
+        for all of them, the window centres (width - left - right entries per
+        row). Each returned entry counts as one evaluation.
         """
         X = np.asarray(X, dtype=float)
+        dt = self._dt(dt)
+        if out_indices is None:
+            Y = self.advance_windows(X, dt)
+            self._evals += Y.size
+            return Y
         out_indices = np.asarray(out_indices, dtype=np.intp)
         if X.ndim != 2 or X.shape[0] != out_indices.shape[0]:
             raise ValueError("one output index row per state required")
-        dt = self._dt(dt)
         width = X.shape[1]
         if width == self.n:
             Y = self.advance(X, dt)
@@ -205,19 +210,19 @@ def step_columns(model, x, pattern, perturbations, dt=None):
     ``x`` at ``pattern.offset_columns[i, k]``. Returns an array of the same
     shape holding each stepped state at the entries of its own column. With a
     declared halo (left, right) every perturbed state is stepped on a window
-    of nsp + left + right entries; a model with no halo, or a window at least
-    n wide, steps whole states. Either way the values equal the restriction
-    of the full step bit for bit, and the model counts nsp evaluations per
-    perturbed state.
+    of nsp + left + right entries, whose kept centre is the column; a model
+    with no halo, or a window at least n wide, steps whole states. Either way
+    the values equal the restriction of the full step bit for bit, and the
+    model counts nsp evaluations per perturbed state.
     """
     x = np.asarray(x, dtype=float)
     P = np.asarray(perturbations, dtype=float)
     n, nsp = pattern.n, pattern.nsp
     if P.ndim < 2 or P.shape[-2:] != (n, nsp):
         raise ValueError(f"perturbations must end in shape ({n}, {nsp}), got {P.shape}")
-    rows = P.reshape(-1, nsp)
     halo = model.halo
     if halo is None or nsp + halo[0] + halo[1] >= n:
+        rows = P.reshape(-1, nsp)
         out = np.broadcast_to(pattern.offset_columns, P.shape).reshape(-1, nsp)
         X = np.tile(x, (rows.shape[0], 1))
         X[np.arange(rows.shape[0])[:, None], out] += rows
@@ -231,7 +236,7 @@ def step_columns(model, x, pattern, perturbations, dt=None):
         Xt[...] = x[windows.T].reshape((width,) + (1,) * (P.ndim - 2) + (n,))
         Xt[left:left + nsp] += np.moveaxis(P, -1, 0)
         X = Xt.reshape(width, -1).T
-        out = np.broadcast_to(np.arange(left, left + nsp), rows.shape)
+        out = None  # the window centre is the column
     return model.step_components_many(X, out, dt=dt).reshape(P.shape)
 
 

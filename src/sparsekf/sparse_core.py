@@ -45,7 +45,7 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 
 class FactorizationError(RuntimeError):
-    """Incomplete Cholesky failed even after the jitter retry schedule."""
+    """A matrix did not factor (incomplete Cholesky: even after jitter retries)."""
 
 
 class SparsityPattern:
@@ -255,7 +255,8 @@ def restricted_product(A, B, pattern):
 
     The result is symmetrized entrywise: value at admissible (i, j) is
     0.5 * ((A@B)[i, j] + (A@B)[j, i]). The caller is responsible for A @ B
-    being symmetric up to rounding. Only the 2 n (h+1) row-column dot
+    being symmetric up to rounding. Below ``uses_structured_path`` one GEMM
+    forms the dense product; from it on, only the 2 n (h+1) row-column dot
     products behind the band are computed, never the dense product.
     """
     A = np.asarray(A, dtype=float)
@@ -264,6 +265,8 @@ def restricted_product(A, B, pattern):
     if A.ndim != 2 or B.ndim != 2 or A.shape[0] != n or B.shape[1] != n \
             or A.shape[1] != B.shape[0]:
         raise ValueError(f"incompatible shapes {A.shape} x {B.shape} for n={n}")
+    if not uses_structured_path(n, h):
+        return SparseSymMatrix.from_dense(A @ B, pattern)
     rows = np.arange(n + h) % n  # contiguous copies, extended past the wrap
     A_ext, Bt_ext = A[rows], B.T[rows]
     upper = np.einsum("ik,idk->id", A_ext[:n], _row_windows(Bt_ext, h))  # (A@B)[i, i+d]

@@ -1,5 +1,6 @@
 """Filter-cycle tests: oracles, limits, counts, and positivity repairs."""
 
+import csv
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from helpers import (
     dense_path_sparse_ukf_cycle,
     scalar_kf,
 )
+from sparsekf.cli import main
 from sparsekf.filters import (
     DenseUkfParams,
     EnkfParams,
@@ -528,16 +530,16 @@ class TestRepairOnRecordedCovariances:
         assert 0 < repairs < len(recorded_repairs)
 
 
-def dense_solve_counter(monkeypatch):
-    """Count the calls of np.linalg.solve (the dense gain's solve)."""
+def call_counter(monkeypatch, owner, name):
+    """Count the calls of ``owner.name``."""
     calls = []
-    real = np.linalg.solve
+    real = getattr(owner, name)
 
     def spy(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "solve", spy)
+    monkeypatch.setattr(owner, name, spy)
     return calls
 
 
@@ -578,7 +580,7 @@ FILTERS = ["sparse_ukf", "progressive_ekf"]
 class TestGainPathSelection:
     """The structured gain applies to a stride dividing n and an observation
     space large enough for the band factor, while M factors; every other
-    case keeps the dense solve."""
+    case keeps the dense gain."""
 
     @pytest.mark.parametrize("name,n,nsp,n_p", [
         ("sparse_ukf", 40, 7, 1), ("progressive_ekf", 40, 11, 2),  # desk-n40
@@ -588,7 +590,7 @@ class TestGainPathSelection:
         model, obs_op, pattern, state, x0, rng = warmed_up(name, n, nsp, 70, n_p, cycles=1)
         cycle, oracle, params = filter_params(name, pattern, n_p)
         forbid(monkeypatch, filters, "band_gain")
-        calls = dense_solve_counter(monkeypatch)
+        calls = call_counter(monkeypatch, filters, "_dense_gain")
         y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
         new = cycle(state, y, model, obs_op, params)
         assert calls
@@ -598,15 +600,8 @@ class TestGainPathSelection:
     def test_high_dimension_takes_the_structured_gain(self, monkeypatch, name):
         model, obs_op, pattern, state, x0, rng = warmed_up(name, 640, 7, 71)
         cycle, _, params = filter_params(name, pattern)
-        kernel_calls = []
-        real = filters.band_gain
-
-        def counted(*args):
-            kernel_calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(filters, "band_gain", counted)
-        forbid(monkeypatch, np.linalg, "solve")
+        kernel_calls = call_counter(monkeypatch, filters, "band_gain")
+        forbid(monkeypatch, filters, "_dense_gain")
         forbid(monkeypatch, SparseSymMatrix, "dense_columns")
         for _ in range(3):
             y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
@@ -617,16 +612,24 @@ class TestGainPathSelection:
     @pytest.mark.parametrize("case", ["stride 3", "M not positive definite"])
     def test_fallbacks_take_the_dense_gain(self, monkeypatch, name, case):
         model, obs_op, pattern, state, x0, rng = warmed_up(name, 640, 7, 72)
+        cycle, oracle, params = filter_params(name, pattern)
+        tried = call_counter(monkeypatch, filters, "band_gain")
+        calls = call_counter(monkeypatch, filters, "_dense_gain")
         if case == "stride 3":  # 640 % 3 != 0
             obs_op = ObservationOperator(640, 3)
+            y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+            new = cycle(state, y, model, obs_op, params)
+            assert calls and not tried
+            assert_matches_oracle(new, oracle(state, y, model, obs_op, params))
         else:
+            # Pyy (= M, less u u^T for the sparse UKF) is not positive
+            # definite either, so the dense gain fails the cycle
             obs_op = ObservationOperator(640, r=-10.0)
-        cycle, oracle, params = filter_params(name, pattern)
-        calls = dense_solve_counter(monkeypatch)
-        y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
-        new = cycle(state, y, model, obs_op, params)
-        assert calls
-        assert_matches_oracle(new, oracle(state, y, model, obs_op, params))
+            y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+            with pytest.raises(FactorizationError, match="innovation covariance is not "
+                                                         "positive definite"):
+                cycle(state, y, model, obs_op, params)
+            assert tried and calls
 
 
 class TestSmallRingsMakeNoStructuredFactor:
@@ -660,8 +663,9 @@ class TestStructuredGain:
 
     def test_sherman_morrison_breakdown_takes_the_dense_gain(self, monkeypatch):
         # A negative center weight (kappa < 0) lets Pyy = M - u u^T be
-        # indefinite: here 1 - u^T M^-1 u is about -0.16, and the dense
-        # solve decides.
+        # indefinite: here 1 - u^T M^-1 u is about -0.16, so the structured
+        # gain is declined, and the dense gain's Cholesky factor of Pyy
+        # fails the cycle.
         model, obs_op, pattern, state, x0, rng = lorenz_setup(n=640, nsp=7, p0=500.0,
                                                                  seed=74)
         params = UkfParams(pattern=pattern, kappa=-639.5)
@@ -674,19 +678,39 @@ class TestStructuredGain:
             return out
 
         monkeypatch.setattr(filters, "band_gain", record)
-        calls = dense_solve_counter(monkeypatch)
+        calls = call_counter(monkeypatch, filters, "_dense_gain")
         y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
-        new = sparse_ukf_cycle(state, y, model, obs_op, params)
+        with pytest.raises(FactorizationError, match="innovation covariance is not "
+                                                     "positive definite"):
+            sparse_ukf_cycle(state, y, model, obs_op, params)
         assert len(recorded) == 1 and recorded[0] > 1.0
         assert calls
-        # P = 500 I makes both paths round at a larger scale: relative bounds
-        old = dense_path_sparse_ukf_cycle(state, y, model, obs_op, params)
-        assert np.abs(new.xa - old.xa).max() <= 1e-10 * np.abs(old.xa).max()
-        assert np.abs(new.Pa.band - old.Pa.band).max() <= 1e-10 * np.abs(old.Pa.band).max()
+
+
+class TestIndefiniteInnovation:
+    """Tiny observation noise can leave the dense gain's innovation
+    covariance indefinite. The replicate fails at that cycle, before the
+    analysis diverges."""
+
+    def test_fails_at_the_first_indefinite_cycle(self, capsys, tmp_path):
+        argv = ["--filter", "progressive_ekf", "--r-scale", "1e-12", "--n-steps", "20",
+                "--master-seed", "5"]
+        assert main(["run", *argv]) == 1
+        assert capsys.readouterr().err.strip() == (
+            "replicate 0 FAILED: FactorizationError at cycle 2: "
+            "innovation covariance is not positive definite")
+        runs, summary = tmp_path / "runs.csv", tmp_path / "summary.csv"
+        main(["bench", *argv, "--n-replicates", "4", "--workers", "1", "--out", str(runs),
+              "--summary-out", str(summary)])
+        rows = list(csv.DictReader(runs.open()))
+        (flags,) = csv.DictReader(summary.open())
+        nan_rows = [row for row in rows if "nan" in row.values()]
+        assert len(rows) == 4 and len(nan_rows) == int(flags["n_failed"])
 
 
 class TestNormalizedInnovation:
-    """nis = innov @ solve(Pyy, innov) / m, as the dense-path oracle computes it."""
+    """nis = innov @ solve(Pyy, innov) / m, as the dense-path oracle computes it;
+    the dense gain reads it as z.z / m with z = L^-1 innov, Pyy = L L^T."""
 
     @pytest.mark.parametrize("name", FILTERS)
     @pytest.mark.parametrize("n", [40, 640])  # dense and structured gain
@@ -702,8 +726,8 @@ class TestNormalizedInnovation:
     @pytest.mark.parametrize("name", FILTERS)
     @pytest.mark.parametrize("noise", ["zero"])
     def test_dense_gain_with_singular_or_full_noise(self, name, noise):
-        # r = 0: innov joins the dense solve as one more right-hand side
-        # (1 / r is not applied)
+        # r = 0 takes the same whitened gain as any r: Pyy alone is factored,
+        # and nothing divides by r
         model, obs_op, pattern, state, x0, rng = warmed_up(name, 40, 7, 77)
         obs_op = ObservationOperator(40, r=0.0)
         cycle, oracle, params = filter_params(name, pattern)

@@ -206,6 +206,18 @@ class TestWindowedEvaluation:
                 assert np.array_equal(got[s, c], want[pattern.offset_columns[c]])
         assert model.evaluation_count == 2 * n * pattern.nsp
 
+    @pytest.mark.parametrize("n,nsp", [(40, 7), (160, 41), (640, 7)])
+    def test_window_centre_equals_its_explicit_indices(self, n, nsp):
+        # None asks for every entry the window step keeps, its centre
+        rng = np.random.default_rng(n + nsp)
+        left, right = Lorenz96Model.halo
+        X = rng.normal(scale=3.0, size=(2 * n, nsp + left + right))
+        centre = np.broadcast_to(np.arange(left, left + nsp), (2 * n, nsp))
+        implicit, explicit = Lorenz96Model(n=n), Lorenz96Model(n=n)
+        got = implicit.step_components_many(X, None)
+        assert np.array_equal(got, explicit.step_components_many(X, centre))
+        assert implicit.evaluation_count == explicit.evaluation_count == 2 * n * nsp
+
     def test_window_outputs_must_stay_inside_the_halo(self):
         model = Lorenz96Model()
         X = np.zeros((2, 19))

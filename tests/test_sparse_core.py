@@ -844,16 +844,19 @@ class TestRestrictedProduct:
         M = restricted_product(K, Pxy.T, p)
         assert np.abs(M.to_dense() - expected).max() <= 1e-12 * (np.abs(dense).max() + 1)
 
-    @pytest.mark.parametrize("n,h", PATTERNS)
+    @pytest.mark.parametrize("n,h", PATTERNS + [(256, 3), (333, 32)])
     def test_band_only_matches_dense_product(self, n, h):
-        # entrywise symmetrization of the dense product, for any A @ B
+        # entrywise symmetrization of the dense product, for any A @ B, masked
+        # to the pattern; the last two cases lie past the crossover, where the
+        # band is computed without the dense product
         rng = np.random.default_rng(3 * n + h)
         p = SparsityPattern(n, h)
         A = rng.normal(size=(n, 4))
         B = rng.normal(size=(4, n))
         got = restricted_product(A, B, p)
-        expected = SparseSymMatrix.from_dense(A @ B, p)
-        assert np.abs(got.band - expected.band).max() <= 1e-13
+        product = A @ B
+        expected = np.where(dense_mask(p), 0.5 * (product + product.T), 0.0)
+        assert np.abs(got.to_dense() - expected).max() <= 1e-13
 
     def test_shape_validation(self):
         p = SparsityPattern(4, 1)
