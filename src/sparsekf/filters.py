@@ -28,6 +28,7 @@ from .sparse_core import (
     CyclicReduction,
     FactorizationError,
     SparseSymMatrix,
+    _dense_cholesky,
     band_gain,
     cholesky_with_jitter,
     gain_layout,
@@ -224,12 +225,12 @@ def _dense_gain(Pyy, Pxy, innov, r):
 
     With Pyy = L L^T, W = L^-1 Pxy^T and z = L^-1 innov, the gain is K = W^T
     L^-1, so K innov = W^T z, K Pxy^T = W^T W and innov^T Pyy^-1 innov = z.z.
-    Returns (W, W^T z, z.z). Raises FactorizationError when Pyy is not
-    positive definite.
+    Returns (W, W^T z, z.z). Raises FactorizationError when Pyy has a
+    non-finite entry or is not positive definite.
     """
     Pyy.flat[::Pyy.shape[0] + 1] += r  # the diagonal, in place
     try:
-        L_inv = np.linalg.inv(np.linalg.cholesky(Pyy))
+        L_inv = np.linalg.inv(_dense_cholesky(Pyy))
     except np.linalg.LinAlgError:
         raise FactorizationError("innovation covariance is not positive definite") from None
     W, z = L_inv @ Pxy.T, L_inv @ innov

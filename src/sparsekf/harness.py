@@ -168,12 +168,7 @@ def summarize(values):
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("cannot summarize an empty list")
-    # numpy's linear quartiles, bit for bit (np.percentile would import numpy.ma)
-    s = np.sort(values)
-    position = np.array([0.25, 0.5, 0.75]) * (values.size - 1)
-    lo = position.astype(np.intp)
-    a, b, t = s[lo], s[np.minimum(lo + 1, values.size - 1)], position - lo
-    q1, med, q3 = np.where(t >= 0.5, b - (b - a) * (1.0 - t), a + (b - a) * t)
+    q1, med, q3 = np.percentile(values, [25.0, 50.0, 75.0])
     iqr = q3 - q1
     std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
     return SummaryStats(

@@ -255,9 +255,11 @@ def restricted_product(A, B, pattern):
 
     The result is symmetrized entrywise: value at admissible (i, j) is
     0.5 * ((A@B)[i, j] + (A@B)[j, i]). The caller is responsible for A @ B
-    being symmetric up to rounding. Below ``uses_structured_path`` one GEMM
-    forms the dense product; from it on, only the 2 n (h+1) row-column dot
-    products behind the band are computed, never the dense product.
+    being symmetric up to rounding. While n < GEMM_BAND_RATIO * (h+1) one
+    GEMM forms the dense product (n^2 m multiply-adds at BLAS speed); from
+    there on strided einsums make only the 2 n (h+1) m behind the band,
+    never the dense product. The two cross near that ratio (h = 3 to 40,
+    m = n/3 or n/2, one BLAS thread).
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -265,7 +267,7 @@ def restricted_product(A, B, pattern):
     if A.ndim != 2 or B.ndim != 2 or A.shape[0] != n or B.shape[1] != n \
             or A.shape[1] != B.shape[0]:
         raise ValueError(f"incompatible shapes {A.shape} x {B.shape} for n={n}")
-    if not uses_structured_path(n, h):
+    if n < GEMM_BAND_RATIO * (h + 1):
         return SparseSymMatrix.from_dense(A @ B, pattern)
     rows = np.arange(n + h) % n  # contiguous copies, extended past the wrap
     A_ext, Bt_ext = A[rows], B.T[rows]
@@ -376,6 +378,8 @@ JITTER_RETRIES = 20
 # is as fast. The two constants set nothing else.
 BLOCK_ROWS = 32
 MIN_BLOCKS = 8
+
+GEMM_BAND_RATIO = 32  # restricted_product's GEMM/band crossover, n / (h+1)
 
 
 def _check_finite(values):

@@ -707,6 +707,17 @@ class TestIndefiniteInnovation:
         nan_rows = [row for row in rows if "nan" in row.values()]
         assert len(rows) == 4 and len(nan_rows) == int(flags["n_failed"])
 
+    @pytest.mark.parametrize("entry,message", [
+        (-2.0, "innovation covariance is not positive definite"),
+        (math.inf, "cannot factor a matrix with non-finite entries"),
+        (math.nan, "cannot factor a matrix with non-finite entries"),
+    ])
+    def test_dense_gain_rejects_what_it_cannot_factor(self, entry, message):
+        Pyy = np.eye(3)
+        Pyy[1, 1] = entry
+        with pytest.raises(FactorizationError, match=message):
+            filters._dense_gain(Pyy, np.ones((5, 3)), np.ones(3), 0.5)
+
 
 class TestNormalizedInnovation:
     """nis = innov @ solve(Pyy, innov) / m, as the dense-path oracle computes it;

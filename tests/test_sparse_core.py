@@ -844,11 +844,12 @@ class TestRestrictedProduct:
         M = restricted_product(K, Pxy.T, p)
         assert np.abs(M.to_dense() - expected).max() <= 1e-12 * (np.abs(dense).max() + 1)
 
-    @pytest.mark.parametrize("n,h", PATTERNS + [(256, 3), (333, 32)])
+    @pytest.mark.parametrize("n,h", PATTERNS + [(128, 3), (256, 3), (333, 5), (333, 32)])
     def test_band_only_matches_dense_product(self, n, h):
         # entrywise symmetrization of the dense product, for any A @ B, masked
-        # to the pattern; the last two cases lie past the crossover, where the
-        # band is computed without the dense product
+        # to the pattern; (128, 3), (256, 3) and (333, 5) reach
+        # GEMM_BAND_RATIO (h+1), where the band is computed without the
+        # dense product
         rng = np.random.default_rng(3 * n + h)
         p = SparsityPattern(n, h)
         A = rng.normal(size=(n, 4))
@@ -857,6 +858,30 @@ class TestRestrictedProduct:
         product = A @ B
         expected = np.where(dense_mask(p), 0.5 * (product + product.T), 0.0)
         assert np.abs(got.to_dense() - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("n,h,uses_gemm", [(40, 3, True), (160, 20, True),
+                                                (640, 3, False), (2560, 3, False)])
+    def test_dense_product_only_below_the_gemm_band_ratio(self, monkeypatch, n, h, uses_gemm):
+        # the desk and quarter-n band shapes take the GEMM; at n = 640 or
+        # 2560 with h = 3 the band is kept, in far less memory than the
+        # n x n product would take
+        calls = []
+        real = SparseSymMatrix.from_dense
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(SparseSymMatrix, "from_dense", spy)
+        rng = np.random.default_rng(n)
+        W = rng.normal(size=(16, n))
+        tracemalloc.start()
+        restricted_product(W.T, W, SparsityPattern(n, h))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert bool(calls) == uses_gemm
+        if not uses_gemm:
+            assert peak < n * n * 8 / 4  # a quarter of the dense product
 
     def test_shape_validation(self):
         p = SparsityPattern(4, 1)
