@@ -195,28 +195,18 @@ def _gamma_repair(E):
             return E, 0.0, factorizations
         except np.linalg.LinAlgError:
             pass
-    info = {}
-    lam = min_eigenvalue(E, info)
-    factorizations += info["factorizations"]
+    lam, count = min_eigenvalue(E)
+    factorizations += count
     if lam < 0.0:
         gamma = -lam + GAMMA_MARGIN
         return E.add_scaled_identity(gamma), gamma, factorizations
     return E, 0.0, factorizations
 
 
-def _structured_gain(A, pattern, obs_op, rhs):
-    """``band_gain`` on the cyclic band A observed by ``obs_op``, with M =
-    A[oi, oi] + r I and the result on ``pattern``; None where the dense
-    gain applies instead: a stride that does not divide n, an observation
-    space too small for ``uses_structured_path``, or an M that does not
-    factor (the dense gain then decides)."""
-    layout = gain_layout(A.n, A.pattern.half_bandwidth, pattern.half_bandwidth, obs_op.stride)
-    if layout is None:
-        return None
-    try:
-        return band_gain(layout.observed(A, obs_op.r), layout.local_rows(A), layout, rhs)
-    except (np.linalg.LinAlgError, FactorizationError):
-        return None
+def _indefinite_innovation():
+    """The error that fails a cycle whose innovation covariance is not
+    positive definite, on either gain."""
+    return FactorizationError("innovation covariance is not positive definite")
 
 
 def _dense_gain(Pyy, Pxy, innov, r):
@@ -232,7 +222,7 @@ def _dense_gain(Pyy, Pxy, innov, r):
     try:
         L_inv = np.linalg.inv(_dense_cholesky(Pyy))
     except np.linalg.LinAlgError:
-        raise FactorizationError("innovation covariance is not positive definite") from None
+        raise _indefinite_innovation() from None
     W, z = L_inv @ Pxy.T, L_inv @ innov
     return W, W.T @ z, float(z @ z)
 
@@ -244,37 +234,45 @@ def _update(xb, Pb, A, innov, obs_op, sbar=None):
     The cross covariance is Pxy = C - sbar u^T with C = A[:, oi] and u =
     sbar[oi], and Pyy = M - u u^T with M = A[oi, oi] + r I. The progressive
     EKF passes A = Pb and no sbar; the sparse UKF passes A = sum_k w_k S_k
-    S_k^T and its mean deviation sbar. Where ``_structured_gain`` applies,
-    no gain is formed: the band of C M^-1 C^T and C M^-1 [d, u] come from a
-    band factor of M, and for sbar Sherman-Morrison gives Pyy^-1 from M^-1
-    when 1 - u^T M^-1 u > 0, so that band(Pxy Pyy^-1 Pxy^T) = band(C M^-1
+    S_k^T and its mean deviation sbar. The geometry alone picks the gain:
+    where ``gain_layout`` is None (a stride that does not divide n, or an
+    observation space too small for a band factor), Pxy and Pyy are dense,
+    and ``_dense_gain`` whitens them with one Cholesky factor of Pyy.
+    Elsewhere no gain is formed: ``band_gain`` gives the band of C M^-1 C^T
+    and C M^-1 [d, u] from a band factor of M, and for sbar Sherman-Morrison
+    gives Pyy^-1 from M^-1, so that band(Pxy Pyy^-1 Pxy^T) = band(C M^-1
     C^T) + alpha v v^T - sbar sbar^T with v = C M^-1 u - sbar, alpha = 1 /
-    (1 - u^T M^-1 u). Elsewhere Pxy and Pyy are dense, and ``_dense_gain``
-    whitens them with one Cholesky factor of Pyy.
+    (1 - c), c = u^T M^-1 u. Pyy = M - u u^T is positive definite iff M is
+    and c < 1, so an M that does not factor, or c >= 1, fails the cycle at
+    once with the dense gain's FactorizationError.
     """
     pattern = Pb.pattern
     oi = obs_op.indices
     u = None if sbar is None else sbar[oi]
-    gain = _structured_gain(A, pattern, obs_op, (innov,) if u is None else (innov, u))
-    if gain is not None:
-        CMC, (Cd, *Cu), (Md, *Mu) = gain  # band(C M^-1 C^T), C M^-1 [d, u], M^-1 [d, u]
-        if u is None:
-            return xb + Cd, Pb - CMC, float(innov @ Md) / oi.size
-        c = float(u @ Mu[0])
-        if c < 1.0:
-            alpha = 1.0 / (1.0 - c)
-            ud = float(u @ Md)
-            v = Cu[0] - sbar
-            xa = xb + Cd + (alpha * ud) * v
-            rank_one = restricted_outer_accumulate(np.stack([v, sbar]), np.array([alpha, -1.0]),
-                                                   pattern)
-            return xa, Pb - CMC - rank_one, (float(innov @ Md) + alpha * ud * ud) / oi.size
+    layout = gain_layout(A.n, A.pattern.half_bandwidth, pattern.half_bandwidth, obs_op.stride)
+    if layout is None:
+        Pxy = A.dense_columns(oi)
+        if u is not None:
+            Pxy -= np.outer(sbar, u)
+        W, Kd, zz = _dense_gain(Pxy[oi], Pxy, innov, obs_op.r)
+        return xb + Kd, Pb - restricted_product(W.T, W, pattern), zz / oi.size
 
-    Pxy = A.dense_columns(oi)
-    if u is not None:
-        Pxy -= np.outer(sbar, u)
-    W, Kd, zz = _dense_gain(Pxy[oi], Pxy, innov, obs_op.r)
-    return xb + Kd, Pb - restricted_product(W.T, W, pattern), zz / oi.size
+    try:  # band(C M^-1 C^T), C M^-1 [d, u], M^-1 [d, u]
+        CMC, (Cd, *Cu), (Md, *Mu) = band_gain(A, obs_op.r, layout,
+                                              (innov,) if u is None else (innov, u))
+    except np.linalg.LinAlgError:
+        raise _indefinite_innovation() from None
+    if u is None:
+        return xb + Cd, Pb - CMC, float(innov @ Md) / oi.size
+    c = float(u @ Mu[0])
+    if c >= 1.0:
+        raise _indefinite_innovation()
+    alpha = 1.0 / (1.0 - c)
+    ud = float(u @ Md)
+    v = Cu[0] - sbar
+    xa = xb + Cd + (alpha * ud) * v
+    rank_one = restricted_outer_accumulate(np.stack([v, sbar]), np.array([alpha, -1.0]), pattern)
+    return xa, Pb - CMC - rank_one, (float(innov @ Md) + alpha * ud * ud) / oi.size
 
 
 def _analysis(xa, E, jitter, evals, innov=None, nis=0.0):

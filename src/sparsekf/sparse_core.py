@@ -629,32 +629,6 @@ class CyclicReduction:
             s[1::2] = np.swapaxes(side[:, :, b:], 1, 2)  # Z[j+1, j]
         return diag, sub
 
-    def to_dense(self):
-        """(L, order): the dense lower factor and the natural row of each of
-        its rows, so that ``A[order][:, order] = L L^T``."""
-        N, b = self.rows.shape
-        order, entries = [], []
-        for level, (right, W, F) in enumerate(self._levels):
-            blocks = np.arange(0, N, 1 << level)  # the natural blocks of the level
-            odd, even = blocks[1::2], blocks[0::2]
-            for j, Wj, Fj, left, nxt in zip(odd, W, F, even, even[right]):
-                entries += [(j, j, np.tril(np.linalg.inv(Wj))), (left, j, Fj[:, :b].T),
-                            (nxt, j, Fj[:, b:].T)]
-            order.append(odd)
-        blocks = np.arange(0, N, 1 << len(self._levels))
-        base = self._base.reshape(blocks.size, b, blocks.size, b)
-        entries += [(r, c, base[i, :, k]) for i, r in enumerate(blocks)
-                    for k, c in enumerate(blocks) if i >= k]
-        order = np.concatenate(order + [blocks])
-        slot = np.empty(N, dtype=np.intp)
-        slot[order] = np.arange(N)
-        L = np.zeros((N, b, N, b))
-        for r, c, block in entries:
-            L[slot[r], :, slot[c], :] = block
-        rows = self.rows[order].ravel()
-        real = rows >= 0
-        return L.reshape(N * b, N * b)[np.ix_(real, real)], rows[real]
-
 
 @lru_cache(maxsize=16)
 def _factor_layout(n, h):
@@ -901,8 +875,10 @@ def _certified_min_eigenvalue(P):
     return None, count
 
 
-def min_eigenvalue(P, info=None):
-    """Smallest eigenvalue of the symmetric matrix represented by ``P``.
+def min_eigenvalue(P):
+    """(lambda_min, factorizations): the smallest eigenvalue of the symmetric
+    matrix represented by ``P`` and the number of factorizations made for it
+    (0 on the dense path).
 
     ``P`` is a SparseSymMatrix; off-pattern entries are zero, i.e. the
     eigenvalue is that of the full symmetric completion.
@@ -918,9 +894,6 @@ def min_eigenvalue(P, info=None):
     sigma up towards lambda_min. Past EIGEN_FACTORIZATIONS factorizations
     the dense ``eigvalsh`` decides. Non-finite input raises
     FactorizationError on both paths.
-
-    If ``info`` is a dict, ``info["factorizations"]`` is set to the number
-    of factorizations made (0 on the dense path).
     """
     _check_finite(P.band)
     lam, count = None, 0
@@ -928,9 +901,7 @@ def min_eigenvalue(P, info=None):
         lam, count = _certified_min_eigenvalue(P)
     if lam is None:
         lam = float(np.linalg.eigvalsh(P.to_dense())[0])
-    if info is not None:
-        info["factorizations"] = count
-    return lam
+    return lam, count
 
 
 # ---------------------------------------------------------------------------
@@ -942,8 +913,9 @@ class GainLayout:
     A is a SparseSymMatrix on the cyclic band of half bandwidth k on n
     states. It is observed at ``stride * alpha``, alpha < m = n / stride.
     ``C = A[:, observed]`` is kept as local rows: row i of C at the q
-    observed indices ``windows[i]``, a cyclic run that covers every
-    observed column within k of state i (entries past that read 0).
+    observed indices from ceil((i - k) / stride) on (mod m), a cyclic run
+    that covers every observed column within k of state i (entries past
+    that read 0).
     ``width`` is the largest observation-space distance between the window
     entries of two states at most h apart, which is the reach of the band of
     ``C M^-1 C^T`` on the pattern ``SparsityPattern(n, h)``.
@@ -977,11 +949,6 @@ class GainLayout:
         """The pattern of M in observation space: half bandwidth ``width``."""
         return SparsityPattern(self.m, self.width)
 
-    @property
-    def windows(self):
-        """(n, q) observed indices of the local rows of C."""
-        return (self._start[:, None] + np.arange(self.q)) % self.m
-
     @cached_property
     def inverse_rows(self):
         """(m + q - 1, width + q) flat indices into the selected inverse of M's
@@ -992,7 +959,7 @@ class GainLayout:
                                          t + np.arange(self.width + self.q) - self.q + 1))
 
     def local_rows(self, A):
-        """(n, q) rows of C = A[:, observed] at ``windows``. Row i reads A's
+        """(n, q) rows of C = A[:, observed] at their windows. Row i reads A's
         row at the offsets stride * (start + a) - i, which depend on i mod
         stride only: every stride-th of the row's 2k + 1 values, zero past k."""
         n, k, _, stride = self._geometry
@@ -1030,21 +997,25 @@ def gain_layout(n, k, h, stride):
     return layout if uses_structured_path(layout.m, layout.width) else None
 
 
-def band_gain(M, rows, layout, rhs):
-    """Band of ``C M^-1 C^T`` and ``C M^-1 v``, ``M^-1 v`` for each v in rhs.
+def band_gain(A, r, layout, rhs):
+    """Band of ``C M^-1 C^T`` and ``C M^-1 v``, ``M^-1 v`` for each v in rhs,
+    with C = A[:, observed] and M = A[observed][:, observed] + r I.
 
-    ``M`` is the observation-space band (``layout.observed``) and ``rows``
-    the local rows of C (``layout.local_rows``). M is factored on its band
-    (CyclicReduction, which raises ``np.linalg.LinAlgError`` when M is not
-    positive definite); the entries of Z = M^-1 that the band needs all lie
-    in its selected inverse, read once as the band ``Zb`` of
-    ``layout.inverse_rows``. In the group order of ``layout.roll`` the
-    states of group g share the block ``Z[g + a, g + e]``, a < q, e <=
-    width, a strided view of Zb; one contraction gives ``y = C Z`` on those
-    blocks, and band slot (i, d) reads y at static offsets. O(n q (width +
-    h)) work and O(n width) memory, no m x m or n x m array. Returns
-    (SparseSymMatrix on ``layout.pattern``, list of C M^-1 v, list of M^-1 v).
+    ``A`` is the band that ``layout`` observes. M is built on its band
+    (``layout.observed``) and C as local rows (``layout.local_rows``). M is
+    factored on its band (CyclicReduction, which raises
+    ``np.linalg.LinAlgError`` when M is not positive definite and
+    FactorizationError when it has a non-finite entry); the entries of Z =
+    M^-1 that the band needs all lie in its selected inverse, read once as
+    the band ``Zb`` of ``layout.inverse_rows``. In the group order of
+    ``layout.roll`` the states of group g share the block ``Z[g + a, g +
+    e]``, a < q, e <= width, a strided view of Zb; one contraction gives ``y
+    = C Z`` on those blocks, and band slot (i, d) reads y at static offsets.
+    O(n q (width + h)) work and O(n width) memory, no m x m or n x m array.
+    Returns (SparseSymMatrix on ``layout.pattern``, list of C M^-1 v, list
+    of M^-1 v).
     """
+    M, rows = layout.observed(A, r), layout.local_rows(A)
     F = CyclicReduction(M)
     X = F.solve(np.stack(rhs, axis=1))
     m, q, width, roll = layout.m, layout.q, layout.width, layout.roll
@@ -1056,12 +1027,12 @@ def band_gain(M, rows, layout, rhs):
                    writeable=False)  # V[g, a, e] = Z[g + a, g + e]
     R = np.take(rows, np.arange(roll, roll + n + h), axis=0, mode="wrap")  # group order
     groups = R[:n].reshape(m, stride, q)
-    y = groups @ V  # (C Z)[roll + g stride + r, g + e]
+    y = groups @ V  # (C Z)[roll + g stride + rho, g + e]
     T = np.empty((m, stride, h + 1))
-    for r in range(stride):
+    for rho in range(stride):
         for d in range(h + 1):
-            s = (r + d) // stride  # the window of state i + d starts s after that of i
-            T[:, r, d] = np.einsum("ga,ga->g", y[:, r, s:s + q], R[r + d:r + d + n:stride])
+            s = (rho + d) // stride  # the window of state i + d starts s after that of i
+            T[:, rho, d] = np.einsum("ga,ga->g", y[:, rho, s:s + q], R[rho + d:rho + d + n:stride])
     windows = np.swapaxes(sliding_window_view(np.concatenate([X, X[:q - 1]]), q, axis=0), 1, 2)
     products = np.roll((groups @ windows).reshape(n, -1), roll, axis=0)  # C M^-1 v
     return SparseSymMatrix(layout.pattern, np.roll(T.reshape(n, h + 1), roll, axis=0)), \

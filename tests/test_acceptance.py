@@ -126,7 +126,7 @@ def test_criterion_01_covariance_integrity():
         assert isinstance(state.Pa, SparseSymMatrix)  # symmetric by storage
         D = state.Pa.to_dense()
         assert np.array_equal(D, D.T)
-        lam = min_eigenvalue(state.Pa)
+        lam, _ = min_eigenvalue(state.Pa)
         assert lam >= 1e-9
         checked["count"] += 1
         checked["min_lambda"] = min(checked["min_lambda"], lam)

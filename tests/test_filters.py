@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,7 +270,7 @@ class TestGammaRepair:
             truth = Lorenz96Model().step(truth)
             y = obs_op.observe(truth) + rng.standard_normal(obs_op.m)
             state = sparse_ukf_cycle(state, y, model, obs_op, params)
-            lam = min_eigenvalue(state.Pa)
+            lam, _ = min_eigenvalue(state.Pa)
             assert lam > 0.0
             if state.diagnostics.gamma > 0.0:
                 hit = True
@@ -340,7 +341,7 @@ class TestForecastOnly:
         params = UkfParams(pattern=pattern)
         out = sparse_ukf_cycle(state, None, model, obs_op, params)
         assert not np.array_equal(out.xa, state.xa)
-        assert min_eigenvalue(out.Pa) > 0.0
+        assert min_eigenvalue(out.Pa)[0] > 0.0
         assert out.diagnostics.innovation_norm == 0.0
 
     def test_enkf_forecast_only(self):
@@ -517,7 +518,7 @@ class TestRepairOnRecordedCovariances:
     def test_min_eigenvalue_matches_eigvalsh(self, recorded_repairs):
         for E, _ in recorded_repairs:
             expected = np.linalg.eigvalsh(E.to_dense())[0]
-            assert abs(min_eigenvalue(E) - expected) <= 1e-12 * np.abs(E.band).max()
+            assert abs(min_eigenvalue(E)[0] - expected) <= 1e-12 * np.abs(E.band).max()
 
     def test_gamma_matches_dense_repair(self, recorded_repairs):
         repairs = 0
@@ -575,12 +576,14 @@ def assert_matches_oracle(new, old):
 
 
 FILTERS = ["sparse_ukf", "progressive_ekf"]
+INDEFINITE = "innovation covariance is not positive definite"
 
 
 class TestGainPathSelection:
-    """The structured gain applies to a stride dividing n and an observation
-    space large enough for the band factor, while M factors; every other
-    case keeps the dense gain."""
+    """The geometry alone picks the gain: the structured gain for a stride
+    dividing n and an observation space large enough for the band factor,
+    the dense gain otherwise. A structured cycle whose M does not factor
+    fails at once with the dense gain's error, and forms no dense column."""
 
     @pytest.mark.parametrize("name,n,nsp,n_p", [
         ("sparse_ukf", 40, 7, 1), ("progressive_ekf", 40, 11, 2),  # desk-n40
@@ -609,27 +612,53 @@ class TestGainPathSelection:
         assert len(kernel_calls) == 3
 
     @pytest.mark.parametrize("name", FILTERS)
-    @pytest.mark.parametrize("case", ["stride 3", "M not positive definite"])
+    @pytest.mark.parametrize("case", ["stride 3"])  # 640 % 3 != 0
     def test_fallbacks_take_the_dense_gain(self, monkeypatch, name, case):
         model, obs_op, pattern, state, x0, rng = warmed_up(name, 640, 7, 72)
         cycle, oracle, params = filter_params(name, pattern)
         tried = call_counter(monkeypatch, filters, "band_gain")
         calls = call_counter(monkeypatch, filters, "_dense_gain")
-        if case == "stride 3":  # 640 % 3 != 0
-            obs_op = ObservationOperator(640, 3)
-            y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
-            new = cycle(state, y, model, obs_op, params)
-            assert calls and not tried
-            assert_matches_oracle(new, oracle(state, y, model, obs_op, params))
-        else:
-            # Pyy (= M, less u u^T for the sparse UKF) is not positive
-            # definite either, so the dense gain fails the cycle
-            obs_op = ObservationOperator(640, r=-10.0)
-            y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
-            with pytest.raises(FactorizationError, match="innovation covariance is not "
-                                                         "positive definite"):
+        obs_op = ObservationOperator(640, 3)
+        y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+        new = cycle(state, y, model, obs_op, params)
+        assert calls and not tried
+        assert_matches_oracle(new, oracle(state, y, model, obs_op, params))
+
+    @pytest.mark.parametrize("name", FILTERS)
+    def test_indefinite_m_fails_without_the_dense_gain(self, monkeypatch, name):
+        # Pyy (= M, less u u^T for the sparse UKF) is not positive definite
+        # either, so the dense gain could only fail the same cycle
+        model, obs_op, pattern, state, x0, rng = warmed_up(name, 640, 7, 72)
+        cycle, _, params = filter_params(name, pattern)
+        tried = call_counter(monkeypatch, filters, "band_gain")
+        forbid(monkeypatch, filters, "_dense_gain")
+        forbid(monkeypatch, SparseSymMatrix, "dense_columns")
+        obs_op = ObservationOperator(640, r=-10.0)
+        y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+        with pytest.raises(FactorizationError, match=INDEFINITE):
+            cycle(state, y, model, obs_op, params)
+        assert tried
+
+    @pytest.mark.parametrize("name", FILTERS)
+    def test_failing_structured_cycle_stays_linear_in_n(self, name):
+        # cold caches; a detour through the dense gain's (n, m) column index
+        # and Pxy would peak at about 133 MiB
+        n = 2560
+        model, _, pattern, state, x0, rng = lorenz_setup(n=n, nsp=7, seed=78)
+        cycle, _, params = filter_params(name, pattern)
+        obs_op = ObservationOperator(n, r=-10.0)
+        y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+        sparse_core._column_index.cache_clear()
+        sparse_core.gain_layout.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(FactorizationError, match=INDEFINITE):
                 cycle(state, y, model, obs_op, params)
-            assert tried and calls
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
+        assert sparse_core._column_index.cache_info().currsize == 0
 
 
 class TestSmallRingsMakeNoStructuredFactor:
@@ -661,30 +690,28 @@ class TestStructuredGain:
             assert_matches_oracle(new, oracle(state, y, model, obs_op, params))
             state = new
 
-    def test_sherman_morrison_breakdown_takes_the_dense_gain(self, monkeypatch):
+    def test_sherman_morrison_breakdown_fails_without_the_dense_gain(self, monkeypatch):
         # A negative center weight (kappa < 0) lets Pyy = M - u u^T be
-        # indefinite: here 1 - u^T M^-1 u is about -0.16, so the structured
-        # gain is declined, and the dense gain's Cholesky factor of Pyy
-        # fails the cycle.
+        # indefinite: here 1 - u^T M^-1 u is about -0.16, so the cycle fails
+        # with the dense gain's error, and no dense gain is formed.
         model, obs_op, pattern, state, x0, rng = lorenz_setup(n=640, nsp=7, p0=500.0,
                                                                  seed=74)
         params = UkfParams(pattern=pattern, kappa=-639.5)
         recorded = []
         real = filters.band_gain
 
-        def record(M, rows, layout, rhs):
-            out = real(M, rows, layout, rhs)
+        def record(A, r, layout, rhs):
+            out = real(A, r, layout, rhs)
             recorded.append(float(rhs[1] @ out[2][1]))  # u^T M^-1 u
             return out
 
         monkeypatch.setattr(filters, "band_gain", record)
-        calls = call_counter(monkeypatch, filters, "_dense_gain")
+        forbid(monkeypatch, filters, "_dense_gain")
+        forbid(monkeypatch, SparseSymMatrix, "dense_columns")
         y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
-        with pytest.raises(FactorizationError, match="innovation covariance is not "
-                                                     "positive definite"):
+        with pytest.raises(FactorizationError, match=INDEFINITE):
             sparse_ukf_cycle(state, y, model, obs_op, params)
         assert len(recorded) == 1 and recorded[0] > 1.0
-        assert calls
 
 
 class TestIndefiniteInnovation:
