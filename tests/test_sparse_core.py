@@ -517,7 +517,45 @@ class TestCyclicBandCholesky:
         assert peak <= 12 * 2**20, peak
 
 
+def factor_to_dense(F):
+    """(L, order) of a CyclicReduction F: its dense lower factor, read from
+    the odd blocks of each level and the base, and the natural row of each
+    of its rows, so that ``A[order][:, order] = L L^T``."""
+    N, b = F.rows.shape
+    order, entries = [], []
+    for level, (right, W, Fs) in enumerate(F._levels):
+        blocks = np.arange(0, N, 1 << level)  # the natural blocks of the level
+        odd, even = blocks[1::2], blocks[0::2]
+        for j, Wj, Fj, left, nxt in zip(odd, W, Fs, even, even[right]):
+            entries += [(j, j, np.tril(np.linalg.inv(Wj))), (left, j, Fj[:, :b].T),
+                        (nxt, j, Fj[:, b:].T)]
+        order.append(odd)
+    blocks = np.arange(0, N, 1 << len(F._levels))
+    base = F._base.reshape(blocks.size, b, blocks.size, b)
+    entries += [(r, c, base[i, :, k]) for i, r in enumerate(blocks)
+                for k, c in enumerate(blocks) if i >= k]
+    order = np.concatenate(order + [blocks])
+    slot = np.empty(N, dtype=np.intp)
+    slot[order] = np.arange(N)
+    L = np.zeros((N, b, N, b))
+    for r, c, block in entries:
+        L[slot[r], :, slot[c], :] = block
+    rows = F.rows[order].ravel()
+    real = rows >= 0
+    return L.reshape(N * b, N * b)[np.ix_(real, real)], rows[real]
+
+
 class TestCyclicReduction:
+    @pytest.mark.parametrize("n,h", STRUCTURED)
+    def test_permuted_factor_reproduces_the_matrix(self, n, h):
+        rng = np.random.default_rng(8 * n + h)
+        P = random_band_spd(rng, n, h)
+        A = 3.0 * P.to_dense() + 0.5 * np.eye(n)
+        L, order = factor_to_dense(CyclicReduction(P, scale=3.0, shift=0.5))
+        assert np.array_equal(np.sort(order), np.arange(n))
+        assert np.array_equal(L, np.tril(L))
+        assert np.abs(L @ L.T - A[np.ix_(order, order)]).max() <= 1e-12 * np.abs(A).max()
+
     @pytest.mark.parametrize("n,h", STRUCTURED)
     def test_solve(self, n, h):
         rng = np.random.default_rng(3 * n + h)
