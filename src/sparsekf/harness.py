@@ -354,7 +354,7 @@ def run_replicate(config, replicate):
                 if d is not None:
                     gamma_hits += d.gamma > 0.0
                     jitter_hits += d.cholesky_jitter > 0.0
-    except (FactorizationError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FactorizationError, FloatingPointError, np.linalg.LinAlgError, MemoryError) as exc:
         return ReplicateResult(
             replicate, float("nan"), float("nan"), gamma_hits, jitter_hits,
             failed=True, error=f"{type(exc).__name__} at cycle {k}: {exc}",

@@ -203,6 +203,12 @@ def _column_windows(n, half_bandwidth, left, right):
     return _read_only((first + np.arange(pattern.nsp + left + right)) % n)
 
 
+@lru_cache(maxsize=8)
+def _last_axis_first(ndim):
+    """Axes that move the last of ``ndim`` axes to the front, for ``transpose``."""
+    return (ndim - 1,) + tuple(range(ndim - 1))
+
+
 def step_columns(model, x, pattern, perturbations, dt=None):
     """Step ``x + p`` for perturbations p that each live on one pattern column.
 
@@ -234,7 +240,7 @@ def step_columns(model, x, pattern, perturbations, dt=None):
         # the step runs over contiguous memory; X is the (batch, width) view.
         Xt = np.empty((width,) + P.shape[:-1])
         Xt[...] = x[windows.T].reshape((width,) + (1,) * (P.ndim - 2) + (n,))
-        Xt[left:left + nsp] += np.moveaxis(P, -1, 0)
+        Xt[left:left + nsp] += P.transpose(_last_axis_first(P.ndim))
         X = Xt.reshape(width, -1).T
         out = None  # the window centre is the column
     return model.step_components_many(X, out, dt=dt).reshape(P.shape)

@@ -304,14 +304,17 @@ def _transpose_slots(n, h):
 
 
 @lru_cache(maxsize=16)
-def _ring_order(n, h):
-    """Flat indices into (n, nsp) column-local values that put them in ring
-    order: entry [a, t] is value a of column (t - offsets[a]) mod n, the one
-    at ring position t mod n, for t = 0 .. n + nsp - 2."""
+def _ring_order(n, h, p):
+    """Flat indices into p vectors of (n, nsp) column-local values that put
+    them in ring order: entry [a, k, t] is value a of vector k's column (t -
+    offsets[a]) mod n, the one at ring position t mod n, for t = 0 .. n +
+    nsp - 2."""
     pattern = SparsityPattern(n, h)
-    t = np.arange(n + pattern.nsp - 1)[None, :]
-    a = np.arange(pattern.nsp)[:, None]
-    return _read_only(((t - pattern.offsets[:, None]) % n) * pattern.nsp + a)
+    t = np.arange(n + pattern.nsp - 1)[None, None, :]
+    a = np.arange(pattern.nsp)[:, None, None]
+    k = np.arange(p)[:, None]
+    return _read_only(((t - pattern.offsets[:, None, None]) % n) * pattern.nsp + a
+                      + n * pattern.nsp * k)
 
 
 def local_outer_sum(V, weight, pattern):
@@ -329,7 +332,7 @@ def local_outer_sum(V, weight, pattern):
     # U[a, k, t]: entry a of vector k's column, the one at ring position t;
     # rows a >= nsp are zero, so that a + e never leaves the array.
     U = np.zeros((2 * nsp, p, length))
-    U[:nsp] = V.ravel()[_ring_order(n, h)[:, None, :] + n * nsp * np.arange(p)[:, None]]
+    U[:nsp] = V.ravel()[_ring_order(n, h, p)]
     item = U.itemsize
     shifted = as_strided(U, shape=(nsp, nsp, p, n),  # shifted[e, a, k, t] = U[a + e, k, t + e]
                          strides=((p * length + 1) * item, p * length * item, length * item, item),
@@ -446,10 +449,21 @@ def _column_index(n, h, cols_key):
 
 # Blocks of the reduction have at least REDUCTION_ROWS rows (and at least h);
 # once a level has at most BASE_ROWS rows (and always at two blocks) the rest
-# is one dense factorization. Both were chosen by timing the factorization,
-# the solve and the selected inverse at n = 640, 2560 and 10240.
+# is one dense factorization. REDUCTION_ROWS was chosen by timing the
+# factorization, the solve and the selected inverse at n = 640, 2560 and
+# 10240. BASE_ROWS was chosen by timing the reduction as its callers run it:
+# a factorization, the inverse of its base (cubic in the base's rows), then
+# one selected inverse (the gain, the sigma points) or about 13 solves (a
+# Lanczos run of the repair), at (n, h) = (640, 3), (2560, 3), (10240, 3) and
+# (960, 20).
 REDUCTION_ROWS = 4
-BASE_ROWS = 128
+BASE_ROWS = 64
+
+
+def _block_size(h):
+    """Rows of a reduction block on a band of half bandwidth h, before padding
+    (``_block_rows``): at least h, so that the band is block tridiagonal."""
+    return max(h, REDUCTION_ROWS)
 
 
 @lru_cache(maxsize=16)
@@ -472,21 +486,33 @@ def _block_rows(n, b):
 
 
 @lru_cache(maxsize=16)
-def _reduction_layout(n, h, b):
-    """Gather indices of the cyclic block-tridiagonal partition of ``_block_rows``
-    into a band with a trailing zero: ``diag`` (N, p, p) the diagonal blocks,
-    ``sub`` (N, p, p) the couplings A[k+1, k] (cyclic, k = N-1 couples block
-    0 to block N-1); padded entries read the zero. ``pad`` indexes the
-    padded diagonal entries (block, row)."""
-    rows, _ = _block_rows(n, b)
+def _reduction_layout(n, h):
+    """What the geometry fixes of a CyclicReduction on (n, h), with blocks of
+    ``_block_size(h)`` rows (``_block_rows``):
+
+    - ``diag`` (N, p, p) and ``sub`` (N, p, p): gather indices of the diagonal
+      blocks and the couplings A[k+1, k] (cyclic, k = N-1 couples block 0 to
+      block N-1) in a band with a trailing zero; padded entries read the zero;
+    - ``pad``: the padded diagonal entries as an index (block, row, row), or
+      None without padding;
+    - ``right``: per level, the even neighbour j + 1 of each odd block j among
+      the even blocks, for the levels run before the base (at most BASE_ROWS
+      rows, or two blocks).
+    """
+    rows, _ = _block_rows(n, _block_size(h))
     below = np.roll(rows, -1, axis=0)  # rows of block k + 1
 
     def gather(r, c):
         r, c = r[:, :, None], c[:, None, :]
         return np.where((r >= 0) & (c >= 0), _band_index(n, h, r, c), n * (h + 1))
 
-    pad = tuple(_read_only(a) for a in np.nonzero(rows < 0))
-    return _read_only(gather(rows, rows)), _read_only(gather(below, rows)), pad
+    block, row = np.nonzero(rows < 0)
+    pad = tuple(_read_only(a) for a in (block, row, row)) if block.size else None
+    (N, b), right = rows.shape, []
+    while N > max(2, BASE_ROWS // b):
+        right.append(_read_only(np.arange(1, N // 2 + 1) % ((N + 1) // 2)))
+        N = (N + 1) // 2
+    return _read_only(gather(rows, rows)), _read_only(gather(below, rows)), pad, tuple(right)
 
 
 def _inverse_index(m, b, a, c):
@@ -513,7 +539,7 @@ class CyclicReduction:
     in the order of odd-even block cyclic reduction (Buzbee, Golub & Nielson
     1970), built without an n x n array.
 
-    With blocks of b = max(h, REDUCTION_ROWS) rows (``_block_rows``: where b
+    With blocks of b = ``_block_size(h)`` rows (``_block_rows``: where b
     does not divide n, blocks of floor(n/N) or ceil(n/N) rows padded to one
     size with decoupled unit-diagonal rows) the band is cyclic
     block-tridiagonal. A level factors its odd blocks in one batched
@@ -522,7 +548,8 @@ class CyclicReduction:
     about log2(N) levels one dense factorization of at most BASE_ROWS rows
     is left. Level l works on the blocks 0, s, 2s, ... (s = 2^l) in place,
     as strided views. The work is O(n b^2) in batched calls, the depth
-    O(log N).
+    O(log N). What (n, h) fixes, the gather indices, the padding and every
+    level's neighbour index, is cached (``_reduction_layout``).
 
     A block that fails to factor raises ``np.linalg.LinAlgError``: the
     shifted matrix is then not positive definite. Non-finite input raises
@@ -531,21 +558,20 @@ class CyclicReduction:
 
     def __init__(self, P, scale=1.0, shift=0.0):
         n, h = P.pattern.n, P.pattern.half_bandwidth
-        size = max(h, REDUCTION_ROWS)
-        self.rows, self._position = _block_rows(n, size)
-        N, b = self.rows.shape  # b: the padded block size
+        self.rows, self._position = _block_rows(n, _block_size(h))
+        b = self.rows.shape[1]  # the padded block size
         _check_finite(P.band)
         band = np.empty(n * (h + 1) + 1)
-        band[:-1] = (scale * P.band).ravel()
+        np.multiply(P.band, scale, out=band[:-1].reshape(n, h + 1))
         band[:-1:h + 1] += shift
         band[-1] = 0.0
-        diag_idx, sub_idx, pad = _reduction_layout(n, h, size)
+        diag_idx, sub_idx, pad, rights = _reduction_layout(n, h)
         D, C = band[diag_idx], band[sub_idx]  # C[k] = A[k+1, k]
-        D[pad[0], pad[1], pad[1]] = 1.0
+        if pad is not None:
+            D[pad] = 1.0
         self._levels = []  # per level: W = L^-1 of the odd blocks, F = W [A[j, j-1], A[j, j+1]]
-        while N > max(2, BASE_ROWS // b):
-            J = N // 2
-            right = np.arange(1, J + 1) % ((N + 1) // 2)  # even neighbour j + 1 of odd j
+        for right in rights:  # right[j]: the even neighbour j + 1 of odd block j
+            J = right.size
             W = np.linalg.inv(np.linalg.cholesky(D[1::2]))
             F = W @ np.concatenate([C[0::2][:J], _transpose(C[1::2])], axis=2)
             K = _transpose(F) @ F  # [A[j, j-1], A[j, j+1]]^T D_j^-1 [...]
@@ -554,8 +580,9 @@ class CyclicReduction:
             even[right] -= K[:, b:, b:]
             C[0::2][:J] = -K[:, b:, :b]  # A[j+1, j-1] after the elimination of block j
             self._levels.append((right, W, F))
-            D, C, N = even, C[0::2], even.shape[0]
+            D, C = even, C[0::2]
         # The base: couplings add up, so that two blocks (or one) come out right.
+        N = D.shape[0]
         k = np.arange(N)
         A = np.zeros((N, b, N, b))
         A[k, :, k, :] = D
@@ -635,11 +662,11 @@ def _factor_layout(n, h):
     """The split and the indices of ``cyclic_band_cholesky`` on (n, h).
 
     The leading m = n - border rows, border = h + (n - h) mod b and b =
-    max(h, REDUCTION_ROWS), are a whole number of reduction blocks and do
+    ``_block_size(h)``, are a whole number of reduction blocks and do
     not reach the wrap, so they form a plain band. The border rows meet them
     only in their first and last h columns, so the border's part of the
     factor lives in the columns ``cols``: those 2h and the border's own.
-    Returns m and
+    Returns the pattern of the leading block, ``SparsityPattern(m, h)``, and
 
     - ``windows`` (m, h+1, h+1): entry [j, a, c] is Z[j + h - a, j + h - c]
       of the leading block's inverse Z, the window of column j reversed, in
@@ -649,9 +676,11 @@ def _factor_layout(n, h):
     - ``coupling`` (border, 2h + border): A[m:, cols] in the band (``_take``);
     - ``gather`` (n, nsp): the pattern columns of the factor in offset order
       in the leading columns' bands (m, h+1) and the border rows (border,
-      cols), concatenated with a zero.
+      cols), concatenated with a zero;
+    - ``wrap``: the flat slots (row, d) of the leading rows' band that cross
+      m, the wrap of P, which the plain band of the leading block reads as 0.
     """
-    b = max(h, REDUCTION_ROWS)
+    b = _block_size(h)
     border = h + (n - h) % b
     m = n - border
     end = 2 * m * b  # the appended 0 (blocks of exactly b rows); the 1 follows it
@@ -667,9 +696,10 @@ def _factor_layout(n, h):
     border_slot = m * (h + 1) + (r - m) * cols.size + np.where(j < h, j, j - m + 2 * h)
     gather = np.where(r < j, m * (h + 1) + border * cols.size,
                       np.where(r < m, j * (h + 1) + r - j, border_slot))
-    return m, tuple(_read_only(x) for x in (
+    wrap = np.flatnonzero(np.arange(m)[:, None] + e >= m)
+    return SparsityPattern(m, h), tuple(_read_only(x) for x in (
         windows, _inverse_index(m, b, lead[:, None], lead),
-        _band_index(n, h, np.arange(m, n)[:, None], cols), gather))
+        _band_index(n, h, np.arange(m, n)[:, None], cols), gather, wrap))
 
 
 def _lower(band, start, h):
@@ -698,16 +728,16 @@ def cyclic_band_cholesky(P, scale=1.0, shift=0.0):
     A matrix that is not positive definite raises ``np.linalg.LinAlgError``
     (from the reduction, a window or L22); non-finite input raises
     FactorizationError. The rounding error grows with the condition number
-    of A11: up to 7.9e-9 max|A| at a smallest eigenvalue of 1e-8 in the
+    of A11: up to 7.0e-9 max|A| at a smallest eigenvalue of 1e-8 in the
     tests, against 1e-15 max|A| for well-conditioned bands.
     """
     n, h = P.pattern.n, P.pattern.half_bandwidth
     _check_finite(P.band)
-    m, (windows, corner, coupling, gather) = _factor_layout(n, h)
+    leading, (windows, corner, coupling, gather, wrap) = _factor_layout(n, h)
+    m = leading.n
     lead = P.band[:m].copy()
-    lead[m - h:][np.add.outer(np.arange(h), np.arange(h + 1)) >= h] = 0.0  # the wrap
-    diag, sub = CyclicReduction(SparseSymMatrix(SparsityPattern(m, h), lead), scale,
-                                shift).selected_inverse()
+    np.put(lead, wrap, 0.0)
+    diag, sub = CyclicReduction(SparseSymMatrix(leading, lead), scale, shift).selected_inverse()
     Z = np.concatenate([diag.ravel(), sub.ravel(), [0.0, 1.0]])
     R = np.linalg.cholesky(Z[windows])
     y = np.zeros((m, h + 1))  # R^T y = e_h
@@ -908,7 +938,7 @@ def min_eigenvalue(P):
 # Structured Kalman gain on a band observed at a regular stride
 
 class GainLayout:
-    """The observation geometry of ``band_gain`` and its one cached index.
+    """The observation geometry of ``band_gain`` and its cached indices.
 
     A is a SparseSymMatrix on the cyclic band of half bandwidth k on n
     states. It is observed at ``stride * alpha``, alpha < m = n / stride.
@@ -936,7 +966,7 @@ class GainLayout:
         self._geometry = (n, k, h, stride)
         self._start = start[:n]
 
-    # The patterns and the index are built on first use: only the structured path uses them.
+    # The patterns and the indices are built on first use: only the structured path uses them.
 
     @cached_property
     def pattern(self):
@@ -955,8 +985,21 @@ class GainLayout:
         factor (``CyclicReduction.selected_inverse``, diag and sub
         concatenated): entry [t, j] is Z[t, t + j - q + 1], indices mod m."""
         t = np.arange(self.m + self.q - 1)[:, None]
-        return _read_only(_inverse_index(self.m, max(self.width, REDUCTION_ROWS), t,
+        return _read_only(_inverse_index(self.m, _block_size(self.width), t,
                                          t + np.arange(self.width + self.q) - self.q + 1))
+
+    @cached_property
+    def group_order(self):
+        """(n + h,) the states roll, roll + 1, ... (mod n): group order,
+        extended by h states past the wrap."""
+        n, _, h, _ = self._geometry
+        return _read_only((self.roll + np.arange(n + h)) % n)
+
+    @cached_property
+    def natural_order(self):
+        """(n,) the group position of every state, the inverse of ``group_order``."""
+        n = self._geometry[0]
+        return _read_only((np.arange(n) - self.roll) % n)
 
     def local_rows(self, A):
         """(n, q) rows of C = A[:, observed] at their windows. Row i reads A's
@@ -1018,14 +1061,14 @@ def band_gain(A, r, layout, rhs):
     M, rows = layout.observed(A, r), layout.local_rows(A)
     F = CyclicReduction(M)
     X = F.solve(np.stack(rhs, axis=1))
-    m, q, width, roll = layout.m, layout.q, layout.width, layout.roll
+    m, q, width = layout.m, layout.q, layout.width
     n, h = layout.pattern.n, layout.pattern.half_bandwidth
     stride = n // m
     Zb = np.concatenate([a.ravel() for a in F.selected_inverse()])[layout.inverse_rows]
     row, item = Zb.strides
     V = as_strided(Zb[0, q - 1:], shape=(m, q, width + 1), strides=(row, row - item, item),
                    writeable=False)  # V[g, a, e] = Z[g + a, g + e]
-    R = np.take(rows, np.arange(roll, roll + n + h), axis=0, mode="wrap")  # group order
+    R = rows[layout.group_order]
     groups = R[:n].reshape(m, stride, q)
     y = groups @ V  # (C Z)[roll + g stride + rho, g + e]
     T = np.empty((m, stride, h + 1))
@@ -1034,6 +1077,7 @@ def band_gain(A, r, layout, rhs):
             s = (rho + d) // stride  # the window of state i + d starts s after that of i
             T[:, rho, d] = np.einsum("ga,ga->g", y[:, rho, s:s + q], R[rho + d:rho + d + n:stride])
     windows = np.swapaxes(sliding_window_view(np.concatenate([X, X[:q - 1]]), q, axis=0), 1, 2)
-    products = np.roll((groups @ windows).reshape(n, -1), roll, axis=0)  # C M^-1 v
-    return SparseSymMatrix(layout.pattern, np.roll(T.reshape(n, h + 1), roll, axis=0)), \
+    natural = layout.natural_order
+    products = (groups @ windows).reshape(n, -1)[natural]  # C M^-1 v
+    return SparseSymMatrix(layout.pattern, T.reshape(n, h + 1)[natural]), \
         list(products.T), list(X.T)

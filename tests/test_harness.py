@@ -205,6 +205,20 @@ class TestRunReplicate:
         assert r.failed and math.isnan(r.rmse)
         assert r.error == f"FloatingPointError at cycle 3: non-finite analysis {what}"
 
+    def test_memory_error_fails_the_replicate_at_its_cycle(self, monkeypatch):
+        real, calls = harness.sparse_ukf_cycle, []
+
+        def exhausted(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise MemoryError("Unable to allocate 512. GiB")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "sparse_ukf_cycle", exhausted)
+        r = run_replicate(tiny_config(n_steps=10), 0)
+        assert r.failed and math.isnan(r.rmse)
+        assert r.error == "MemoryError at cycle 3: Unable to allocate 512. GiB"
+
     def test_overflow_is_reported_without_numpy_warnings(self):
         # p0 = 1000 overflows the forecast; the dense gain's Cholesky factor
         # rejects the non-finite Pyy, and no RuntimeWarning escapes the loop

@@ -472,7 +472,8 @@ class TestCyclicBandCholesky:
     def test_near_singular_band(self, n, h):
         # lambda_min = 1e-8, about what the gamma repair leaves; the error
         # grows with the condition number of the leading block (measured at
-        # most 7.9e-9 max|A| on these cases)
+        # most 7.0e-9 max|A| on these cases, 7.4e-9 with a base of 128 rows
+        # and 5.5e-9 with one of 32)
         self.check(random_band_spd(np.random.default_rng(3 * n + h), n, h, floor=1e-8),
                    tol=2e-8)
 
@@ -585,6 +586,17 @@ class TestCyclicReduction:
             CyclicReduction(P, shift=-1e-6)  # smallest eigenvalue -1e-6
         CyclicReduction(P, shift=1e-6)
 
+    # STRUCTURED, and the reductions of the highdim-n640 benchmark: the sigma
+    # points and the certificate at (640, 3), the progressive EKF's and the
+    # sparse UKF's gain in observation space at (320, 5) and (320, 8)
+    @pytest.mark.parametrize("n,h", STRUCTURED + [(640, 3), (320, 5), (320, 8)])
+    def test_dense_base_is_at_most_base_rows(self, n, h):
+        P = SparseSymMatrix.identity(SparsityPattern(n, h))
+        F = CyclicReduction(P)
+        b = F.rows.shape[1]
+        rows = F._base.shape[0]
+        assert rows <= sparse_core.BASE_ROWS or rows == 2 * b, (rows, b)
+
     @pytest.mark.parametrize("n,h", STRUCTURED)
     def test_non_finite_input_raises(self, n, h):
         P = SparseSymMatrix.identity(SparsityPattern(n, h))
@@ -620,7 +632,8 @@ class TestCyclicReduction:
 
 class TestBandGainMemory:
     """One warm band_gain holds O(n width) floats: no (n, h+1, q, q) array of
-    the selected inverse, and the layout caches one index of Zb's size."""
+    the selected inverse, and the layout caches one index of Zb's size and
+    two of about n entries."""
 
     @pytest.mark.parametrize("n,k,h,stride,bound", [
         (2560, 20, 10, 2, 12 * 2**20),  # the sparse UKF at Nsp = 21
@@ -668,6 +681,27 @@ class TestSelectedInverse:
             r, c = rows >= 0, below >= 0
             assert np.abs(diag[k][np.ix_(r, r)] - Z[np.ix_(rows[r], rows[r])]).max() <= tol
             assert np.abs(sub[k][np.ix_(c, r)] - Z[np.ix_(below[c], rows[r])]).max() <= tol
+
+
+    def test_wide_band_base_of_several_blocks(self):
+        # 48 blocks of 20 rows: four levels leave a base of three blocks, 60
+        # rows, and every block of the solve and the selected inverse passes
+        # through all of them
+        rng = np.random.default_rng(960)
+        A = random_band_spd(rng, 960, 20)
+        F = CyclicReduction(A)
+        assert F._base.shape[0] == 60
+        dense = A.to_dense()
+        Z = np.linalg.inv(dense)
+        V = rng.normal(size=(960, 2))
+        X = F.solve(V)
+        assert np.abs(X - np.linalg.solve(dense, V)).max() <= 1e-12 * np.abs(X).max()
+        diag, sub = F.selected_inverse()
+        N = F.rows.shape[0]
+        k = (np.arange(N) + 1) % N
+        tol = 1e-12 * np.abs(Z).max()
+        assert np.abs(diag - Z.reshape(N, 20, N, 20)[np.arange(N), :, np.arange(N)]).max() <= tol
+        assert np.abs(sub - Z.reshape(N, 20, N, 20)[k, :, np.arange(N)]).max() <= tol
 
 
 def windows(layout, n, k, stride):
