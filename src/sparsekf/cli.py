@@ -2,7 +2,8 @@
 
 Subcommands:
   truth   write the truth trajectory of replicate 0
-  run     run a single replicate with verbose per-cycle diagnostics
+  run     run a single replicate and print its totals (RMSE, evaluations,
+          repairs and their factorizations)
   bench   run a full experiment and write run/summary CSVs
   table   run a preset group of configurations and print a summary table
 
@@ -91,13 +92,18 @@ def _cmd_run(args):
     if result.failed:
         print(f"replicate {result.replicate} FAILED: {result.error}", file=sys.stderr)
         return 1
-    print(f"filter            : {config.filter} ({config.param_label()})")
-    print(f"replicate         : {result.replicate}")
-    print(f"steps             : {config.n_steps}")
-    print(f"rmse              : {result.rmse:.6g}")
-    print(f"eval per cycle    : {result.eval_per_cycle:.6g}")
-    print(f"gamma activations : {result.gamma_activations}")
-    print(f"jitter activations: {result.jitter_activations}")
+    rows = (
+        ("filter", f"{config.filter} ({config.param_label()})"),
+        ("replicate", result.replicate),
+        ("steps", config.n_steps),
+        ("rmse", f"{result.rmse:.6g}"),
+        ("eval per cycle", f"{result.eval_per_cycle:.6g}"),
+        ("gamma activations", result.gamma_activations),
+        ("jitter activations", result.jitter_activations),
+        ("repair factorizations", result.repair_factorizations),
+    )
+    for label, value in rows:
+        print(f"{label:<21}: {value}")
     return 0
 
 
@@ -170,7 +176,7 @@ def main(argv=None):
     p_truth.add_argument("--out", default="truth.csv")
     p_truth.set_defaults(func=_cmd_truth)
 
-    p_run = sub.add_parser("run", help="run one replicate with diagnostics")
+    p_run = sub.add_parser("run", help="run one replicate and print its totals")
     _add_config_flags(p_run)
     p_run.add_argument("--replicate", type=int, default=0)
     p_run.set_defaults(func=_cmd_run)

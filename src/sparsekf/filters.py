@@ -59,7 +59,9 @@ class CycleDiagnostics:
     repair made (1 when one certified the covariance positive definite, 0
     on the dense path, where the repair is a dense eigvalsh). ``nis`` is the
     normalized innovation squared ``d^T Pyy^-1 d / m`` of the innovation d
-    (0.0 for a forecast-only cycle).
+    (0.0 for a forecast-only cycle). ``lambda_bound`` is True when the
+    repair spent EIGEN_FACTORIZATIONS without certifying lambda_min and
+    took gamma from the certified lower bound ``min_eigenvalue`` returned.
     """
 
     gamma: float = 0.0
@@ -68,6 +70,7 @@ class CycleDiagnostics:
     innovation_norm: float = 0.0
     repair_factorizations: int = 0
     nis: float = 0.0
+    lambda_bound: bool = False
 
 
 @dataclass
@@ -75,12 +78,15 @@ class FilterState:
     """Analysis mean and covariance after a cycle, plus its diagnostics.
 
     ``Pa`` is a SparseSymMatrix for the sparse filters and a dense array for
-    the dense UKF.
+    the dense UKF. ``eigenvector`` is the unit Ritz vector of the last
+    lambda_min the gamma repair computed on the structured path, the warm
+    start of the next one; it is None until then.
     """
 
     xa: np.ndarray
     Pa: object
     diagnostics: CycleDiagnostics | None = None
+    eigenvector: np.ndarray | None = None
 
 
 def ukf_weights(n, kappa=0.0):
@@ -179,28 +185,44 @@ def _gaspari_cohn_matrix(n, radius):
     return C
 
 
-def _gamma_repair(E):
+def _gamma_repair(E, start=None):
     """Eq.-style positivity repair: gamma = |lambda_min| + margin if indefinite.
 
     On the structured path (``uses_structured_path``) one factorization
     first tries to certify ``E - tau I`` positive definite, tau = PD_FLOOR *
-    max|E|; gamma is then 0 without an eigenvalue. Returns (Pa, gamma,
-    factorizations made).
+    max|E|; gamma is then 0 without an eigenvalue. That factorization is
+    skipped when the Rayleigh quotient of ``start`` (the previous repair's
+    vector) already lies below -tau, since then it must fail. ``start`` also
+    warm-starts ``min_eigenvalue``. Returns (Pa, gamma, factorizations
+    made, lambda_bound, vector), the vector the next repair starts from:
+    the new Ritz vector, or ``start`` when there is none.
     """
     factorizations = 0
-    if uses_structured_path(E.n, E.pattern.half_bandwidth):
-        factorizations = 1
-        try:
-            CyclicReduction(E, shift=-PD_FLOOR * float(np.abs(E.band).max()))
-            return E, 0.0, factorizations
-        except np.linalg.LinAlgError:
-            pass
-    lam, count = min_eigenvalue(E)
+    structured = uses_structured_path(E.n, E.pattern.half_bandwidth)
+    if structured:
+        tau = PD_FLOOR * float(np.abs(E.band).max())
+        if start is None or _rayleigh_quotient(E, start) >= -tau:
+            factorizations = 1
+            try:
+                CyclicReduction(E, shift=-tau)
+                return E, 0.0, factorizations, False, start
+            except np.linalg.LinAlgError:
+                pass
+    lam, count, vector = min_eigenvalue(E, start)
     factorizations += count
+    bound = structured and vector is None  # lam is a lower bound of lambda_min
+    if vector is not None:
+        start = vector
     if lam < 0.0:
         gamma = -lam + GAMMA_MARGIN
-        return E.add_scaled_identity(gamma), gamma, factorizations
-    return E, 0.0, factorizations
+        return E.add_scaled_identity(gamma), gamma, factorizations, bound, start
+    return E, 0.0, factorizations, bound, start
+
+
+def _rayleigh_quotient(E, x):
+    """x^T E x / x^T x for the SparseSymMatrix E."""
+    Ex = np.einsum("ij,ij->i", E.column_values(), x[E.pattern.offset_columns])
+    return float(x @ Ex) / float(x @ x)
 
 
 def _indefinite_innovation():
@@ -275,13 +297,14 @@ def _update(xb, Pb, A, innov, obs_op, sbar=None):
     return xa, Pb - CMC - rank_one, (float(innov @ Md) + alpha * ud * ud) / oi.size
 
 
-def _analysis(xa, E, jitter, evals, innov=None, nis=0.0):
-    """Repair the analysis covariance E and wrap up the cycle (innov None:
-    a forecast-only cycle)."""
-    Pa, gamma, factorizations = _gamma_repair(E)
+def _analysis(xa, E, jitter, evals, start, innov=None, nis=0.0):
+    """Repair the analysis covariance E, warm-started from the vector
+    ``start`` (``FilterState.eigenvector``), and wrap up the cycle (innov
+    None: a forecast-only cycle)."""
+    Pa, gamma, factorizations, bound, vector = _gamma_repair(E, start)
     innovation_norm = 0.0 if innov is None else float(np.linalg.norm(innov))
     return FilterState(xa, Pa, CycleDiagnostics(gamma, jitter, evals, innovation_norm,
-                                                factorizations, nis))
+                                                factorizations, nis, bound), vector)
 
 
 def sparse_ukf_cycle(state, y_obs, model, obs_op, params):
@@ -326,10 +349,10 @@ def sparse_ukf_cycle(state, y_obs, model, obs_op, params):
     # Step 3: Kalman update and repair
     evals = model.evaluation_count - evals0
     if y_obs is None:
-        return _analysis(xb_mean, Pb, jitter, evals)
+        return _analysis(xb_mean, Pb, jitter, evals, state.eigenvector)
     innov = np.asarray(y_obs, dtype=float) - obs_op.observe(xb_mean)
     xa, E, nis = _update(xb_mean, Pb, A, innov, obs_op, sbar)
-    return _analysis(xa, E, jitter, evals, innov, nis)
+    return _analysis(xa, E, jitter, evals, state.eigenvector, innov, nis)
 
 
 def progressive_ekf_cycle(state, y_obs, model, obs_op, params):
@@ -364,10 +387,10 @@ def progressive_ekf_cycle(state, y_obs, model, obs_op, params):
 
     evals = model.evaluation_count - evals0
     if y_obs is None:
-        return _analysis(x_base, P, 0.0, evals)
+        return _analysis(x_base, P, 0.0, evals, state.eigenvector)
     innov = np.asarray(y_obs, dtype=float) - obs_op.observe(x_base)
     xa, E, nis = _update(x_base, P, P, innov, obs_op)
-    return _analysis(xa, E, 0.0, evals, innov, nis)
+    return _analysis(xa, E, 0.0, evals, state.eigenvector, innov, nis)
 
 
 def enkf_cycle(ensemble, y_obs, model, obs_op, params, rng):

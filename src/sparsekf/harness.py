@@ -128,6 +128,10 @@ class ExperimentConfig:
 
 @dataclass
 class ReplicateResult:
+    """One replicate's outcome. ``repair_factorizations`` is the total over
+    its cycles of the gamma repair's factorizations (CycleDiagnostics); it
+    is not written to the runs CSV."""
+
     replicate: int
     rmse: float
     eval_per_cycle: float
@@ -135,6 +139,7 @@ class ReplicateResult:
     jitter_activations: int
     failed: bool = False
     error: str | None = None
+    repair_factorizations: int = 0
 
 
 @dataclass
@@ -342,8 +347,7 @@ def run_replicate(config, replicate):
     state = filt.init(config, xa0, np.random.default_rng(s_filter))
 
     sq_sum = float(np.sum((state.xa - truth[0]) ** 2))
-    gamma_hits = 0
-    jitter_hits = 0
+    gamma_hits = jitter_hits = factorizations = 0
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for k in range(1, config.n_steps + 1):
@@ -354,17 +358,18 @@ def run_replicate(config, replicate):
                 if d is not None:
                     gamma_hits += d.gamma > 0.0
                     jitter_hits += d.cholesky_jitter > 0.0
+                    factorizations += d.repair_factorizations
     except (FactorizationError, FloatingPointError, np.linalg.LinAlgError, MemoryError) as exc:
         return ReplicateResult(
             replicate, float("nan"), float("nan"), gamma_hits, jitter_hits,
             failed=True, error=f"{type(exc).__name__} at cycle {k}: {exc}",
+            repair_factorizations=factorizations,
         )
 
     run_rmse = math.sqrt(sq_sum / (config.n * (config.n_steps + 1)))
     eval_per_cycle = model.evaluation_count / config.n_steps
-    return ReplicateResult(
-        replicate, run_rmse, eval_per_cycle, gamma_hits, jitter_hits
-    )
+    return ReplicateResult(replicate, run_rmse, eval_per_cycle, gamma_hits, jitter_hits,
+                           repair_factorizations=factorizations)
 
 
 def _worker(args):

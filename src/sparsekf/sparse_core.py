@@ -28,7 +28,8 @@ Contents:
   - incomplete_cholesky: pattern-restricted factorization with jitter
     retries; its columns are the sigma points
   - min_eigenvalue: smallest eigenvalue of the represented symmetric matrix,
-    certified by shifted factorizations on the structured path
+    certified by shifted factorizations on the structured path, where a
+    Ritz vector from an earlier call can warm-start it
   - GainLayout / gain_layout / band_gain: the Kalman gain's band
     C M^-1 C^T and C M^-1 v for a band observed at every stride-th state
     with noise r I, from a band factor of M = A[oi, oi] + r I and its
@@ -799,9 +800,12 @@ def incomplete_cholesky(P, scale=1.0):
 # Certified smallest eigenvalue on the structured path
 
 EIGEN_GAP = 5e-13  # relative to max |P|; see min_eigenvalue
-EIGEN_FACTORIZATIONS = 8  # past this many factorizations, fall back to eigvalsh
+EIGEN_FACTORIZATIONS = 8  # past this many factorizations, return the bound that factored
 PLAIN_STEPS = 40  # Lanczos steps on P itself for the first shift
 LANCZOS_STEPS = 12  # solves per shift-invert Lanczos run before the shift moves
+WARM_STEPS = 10  # Lanczos steps on P for the first shift from a warm start
+WARM_MIX = 0.1  # weight of the fixed random start mixed into a warm start
+WARM_SHIFTS = (0.3, 1.0, 3.0)  # first shifts -mu - f rho tried from a warm start, in order
 
 
 def _krylov(apply, x0, steps):
@@ -835,13 +839,15 @@ def _ritz(alpha, beta, basis):
         (mu[-2] if mu.size > 1 else -np.inf)
 
 
-def _certified_min_eigenvalue(P):
-    """(lambda_min, factorizations) on the structured path; lambda_min is
-    None when EIGEN_FACTORIZATIONS were spent without a certificate."""
+def _certified_min_eigenvalue(P, start=None):
+    """(lambda_min, factorizations, Ritz vector) on the structured path; see
+    min_eigenvalue. Past EIGEN_FACTORIZATIONS without a certificate the
+    first value is a lower bound and the vector None."""
     band = P.band
     scale = float(np.abs(band).max())
+    fixed = np.random.default_rng(0).standard_normal(P.n)  # the cold start
     if scale == 0.0:
-        return 0.0, 0
+        return 0.0, 0, fixed / np.linalg.norm(fixed)  # every vector is an eigenvector of 0
     eps = EIGEN_GAP * scale
     rows, cols = P.column_values(), P.pattern.offset_columns  # row i of P at cols[i]
 
@@ -859,17 +865,26 @@ def _certified_min_eigenvalue(P):
             return None
 
     # First shift: theta - rho from Lanczos on -P, which needs no
-    # factorization. If P - sigma I does not factor there, Gershgorin's bound
-    # lies below every eigenvalue.
-    for state in _krylov(lambda v: -matvec(v), np.random.default_rng(0).standard_normal(P.n),
-                         PLAIN_STEPS):
+    # factorization. A warm start (the previous repair's Ritz vector, with a
+    # little of the fixed random start for reach) needs fewer steps, and
+    # tries shifts closer to its Ritz value first. If P - sigma I does not
+    # factor at any of them, Gershgorin's bound lies below every eigenvalue.
+    if start is None:
+        x0, steps, shifts = fixed, PLAIN_STEPS, (1.0,)
+    else:
+        x0 = start / np.linalg.norm(start) + WARM_MIX * fixed / np.linalg.norm(fixed)
+        steps, shifts = WARM_STEPS, WARM_SHIFTS
+    for state in _krylov(lambda v: -matvec(v), x0, steps):
         pass
     mu, x, rho, _ = _ritz(*state)
-    sigma = -mu - rho
     hi = np.inf  # P - shift I is known not to factor for shift >= hi
-    F = factor(sigma)
-    if F is None:
+    for f in shifts:
+        sigma = -mu - f * rho
+        F = factor(sigma)
+        if F is not None:
+            break
         hi = sigma
+    if F is None:
         radius = np.abs(rows).sum(axis=1) - np.abs(band[:, 0])
         sigma = float(np.min(band[:, 0] - radius)) - eps
         F = factor(sigma)
@@ -890,7 +905,7 @@ def _certified_min_eigenvalue(P):
                 break
         if converged:
             if factor(theta - eps) is not None:
-                return theta, count
+                return theta, count, x
             hi = min(hi, theta - eps)
         # Move the shift up: lambda_min >= sigma + 1/(mu + rho) when mu
         # approximates the largest eigenvalue of the inverse.
@@ -902,13 +917,16 @@ def _certified_min_eigenvalue(P):
                 hi = shift
             else:
                 F, sigma = G, shift
-    return None, count
+    # sigma is the highest shift at which P - sigma I factored (or, if even
+    # Gershgorin's did not, that bound itself): lambda_min > sigma.
+    return float(sigma), count, None
 
 
-def min_eigenvalue(P):
-    """(lambda_min, factorizations): the smallest eigenvalue of the symmetric
-    matrix represented by ``P`` and the number of factorizations made for it
-    (0 on the dense path).
+def min_eigenvalue(P, start=None):
+    """(lambda_min, factorizations, vector): the smallest eigenvalue of the
+    symmetric matrix represented by ``P``, the number of factorizations
+    made for it (0 on the dense path), and its unit Ritz vector (None on the
+    dense path).
 
     ``P`` is a SparseSymMatrix; off-pattern entries are zero, i.e. the
     eigenvalue is that of the full symmetric completion.
@@ -921,17 +939,16 @@ def min_eigenvalue(P):
     and theta is returned only once
     ``P - (theta - eps) I`` factors too, eps = EIGEN_GAP * max|P|, so that
     lambda_min lies in [theta - eps, theta]. A certificate that fails moves
-    sigma up towards lambda_min. Past EIGEN_FACTORIZATIONS factorizations
-    the dense ``eigvalsh`` decides. Non-finite input raises
-    FactorizationError on both paths.
+    sigma up towards lambda_min. ``start``, the vector of an earlier call on
+    a nearby matrix, shortens the first Lanczos run; the certificate is the
+    same. Past EIGEN_FACTORIZATIONS factorizations the highest sigma that
+    factored is returned, a certified lower bound, with the vector None.
+    Non-finite input raises FactorizationError on both paths.
     """
     _check_finite(P.band)
-    lam, count = None, 0
     if uses_structured_path(P.n, P.pattern.half_bandwidth):
-        lam, count = _certified_min_eigenvalue(P)
-    if lam is None:
-        lam = float(np.linalg.eigvalsh(P.to_dense())[0])
-    return lam, count
+        return _certified_min_eigenvalue(P, start)
+    return float(np.linalg.eigvalsh(P.to_dense())[0]), 0, None
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,7 @@ class TestGammaRepair:
             truth = Lorenz96Model().step(truth)
             y = obs_op.observe(truth) + rng.standard_normal(obs_op.m)
             state = sparse_ukf_cycle(state, y, model, obs_op, params)
-            lam, _ = min_eigenvalue(state.Pa)
+            lam, _, _ = min_eigenvalue(state.Pa)
             assert lam > 0.0
             if state.diagnostics.gamma > 0.0:
                 hit = True
@@ -500,9 +500,9 @@ def recorded_repairs():
     recorded = []
     real = filters._gamma_repair
 
-    def record(E):
-        out = real(E)
-        recorded.append((E, out))
+    def record(E, start=None):
+        out = real(E, start)
+        recorded.append((E, out[:3]))  # (Pa, gamma, factorizations)
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -529,6 +529,58 @@ class TestRepairOnRecordedCovariances:
             assert np.linalg.eigvalsh(Pa.to_dense())[0] >= 0.0
             repairs += gamma > 0.0
         assert 0 < repairs < len(recorded_repairs)
+
+    def test_warm_starts_match_eigvalsh(self, recorded_repairs):
+        # each call starts from the vector of the one before, as the repair
+        # carries it from cycle to cycle
+        start = None
+        for E, _ in recorded_repairs:
+            lam, factorizations, vector = min_eigenvalue(E, start)
+            expected = np.linalg.eigvalsh(E.to_dense())[0]
+            assert abs(lam - expected) <= 1e-12 * np.abs(E.band).max()
+            assert vector is not None and factorizations < sparse_core.EIGEN_FACTORIZATIONS
+            start = vector
+
+    def test_warm_repair_skips_the_certificate(self, recorded_repairs, monkeypatch):
+        # a start whose Rayleigh quotient is below -PD_FLOOR max|E| proves the
+        # certificate would fail, so the warm repair makes one factorization
+        # fewer and gives the same gamma
+        E = next(E for E, (_, gamma, _) in recorded_repairs if gamma > 0.0)
+        _, gamma, cold, bound, vector = filters._gamma_repair(E)
+        calls = call_counter(monkeypatch, filters, "CyclicReduction")
+        _, warm_gamma, warm, warm_bound, _ = filters._gamma_repair(E, vector)
+        assert not calls and not bound and not warm_bound
+        assert warm == min_eigenvalue(E, vector)[1] < cold
+        assert abs(warm_gamma - gamma) <= 1e-12 * np.abs(E.band).max()
+
+
+class TestRepairFromABound:
+    """Once EIGEN_FACTORIZATIONS are spent, the structured repair takes gamma
+    from the highest shift that factored, a certified lower bound of
+    lambda_min, and forms no n x n array."""
+
+    def test_indefinite_band_at_n_2560(self, monkeypatch):
+        # a circulant with clustered smallest eigenvalues, perturbed: the
+        # shift-invert Lanczos needs more than two factorizations here
+        n, h = 2560, 3
+        band = np.zeros((n, h + 1))
+        band[:, 0], band[:, 1] = 0.1, 0.4
+        band += 1e-3 * np.random.default_rng(65).normal(size=band.shape)
+        E = SparseSymMatrix(SparsityPattern(n, h), band)
+        lam = min_eigenvalue(E)[0]
+        monkeypatch.setattr(sparse_core, "EIGEN_FACTORIZATIONS", 2)
+        tracemalloc.start()
+        try:
+            out = filters._analysis(np.zeros(n), E, 0.0, 0, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d = out.diagnostics
+        assert d.lambda_bound and d.repair_factorizations == 3
+        assert np.isfinite(out.Pa.band).all() and d.gamma >= -lam + filters.GAMMA_MARGIN
+        sparse_core.CyclicReduction(out.Pa)
+        assert peak < n * n, peak  # an eighth of an n x n array (8 n^2 bytes, 50 MiB)
+        assert out.eigenvector is None
 
 
 def call_counter(monkeypatch, owner, name):

@@ -230,6 +230,38 @@ class TestRunReplicate:
                                         "cannot factor a matrix with non-finite entries")
 
 
+class TestNoHiddenState:
+    """The repair's warm start lives in each replicate's FilterState: a
+    replicate's result does not depend on what ran before it."""
+
+    CONFIG = dict(filter="progressive_ekf", n=640, nsp=7, n_steps=20, n_replicates=2,
+                  master_seed=66)
+
+    def test_order_of_replicates_does_not_matter(self):
+        config = ExperimentConfig(**self.CONFIG).validate()
+        forward = [run_replicate(config, r) for r in (0, 1)]
+        backward = [run_replicate(config, r) for r in (1, 0)]
+        assert forward == backward[::-1]
+        assert all(r.gamma_activations > 0 and not r.failed for r in forward)
+
+    def test_pool_matches_serial(self):
+        config = ExperimentConfig(**self.CONFIG).validate()
+        serial = run_experiment(config, workers=1).results
+        assert run_experiment(config, workers=2).results == serial
+
+    def test_repair_factorizations_add_up_the_cycles(self, monkeypatch):
+        real, counts = harness.progressive_ekf_cycle, []
+
+        def record(*args):
+            out = real(*args)
+            counts.append(out.diagnostics.repair_factorizations)
+            return out
+
+        monkeypatch.setattr(harness, "progressive_ekf_cycle", record)
+        config = ExperimentConfig(**self.CONFIG).validate()
+        assert run_replicate(config, 0).repair_factorizations == sum(counts) > len(counts)
+
+
 class TestFilterSetUp:
     @pytest.mark.parametrize("name", ["sparse_ukf", "progressive_ekf"])
     def test_set_up_memory_is_linear_in_n(self, name):
@@ -467,6 +499,13 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "rmse" in out
+
+    def test_run_prints_repair_factorizations(self, capsys):
+        code = main(["run", "--filter", "progressive_ekf", "--n", "640", "--n-steps", "3"])
+        assert code == 0
+        config = ExperimentConfig(filter="progressive_ekf", n=640, n_steps=3)
+        total = run_replicate(config, 0).repair_factorizations
+        assert f"repair factorizations: {total}\n" in capsys.readouterr().out
 
     def test_bench_subcommand(self, tmp_path):
         runs = tmp_path / "runs.csv"

@@ -391,7 +391,7 @@ class TestIncompleteCholesky:
 class TestMinEigenvalue:
     def test_identity(self):
         P = SparseSymMatrix.identity(SparsityPattern(4, 1))
-        assert min_eigenvalue(P) == (pytest.approx(1.0, abs=1e-12), 0)
+        assert min_eigenvalue(P)[:2] == (pytest.approx(1.0, abs=1e-12), 0)
 
     def test_non_finite_input_raises_on_the_dense_path(self):
         # eigvalsh itself raises LinAlgError here; the same fault gets the
@@ -421,7 +421,7 @@ class TestMinEigenvalue:
         A = rng.normal(size=(12, 12))
         M = SparseSymMatrix.from_dense(A + A.T, p)
         for gamma in (0.5, 3.0, 17.0):
-            shifted, _ = min_eigenvalue(M.add_scaled_identity(gamma))
+            shifted, _, _ = min_eigenvalue(M.add_scaled_identity(gamma))
             assert abs(shifted - (min_eigenvalue(M)[0] + gamma)) <= 1e-9 * (1 + gamma)
 
 
@@ -851,7 +851,7 @@ class TestCertifiedMinEigenvalue:
     """The structured path against numpy's eigvalsh, to 1e-12 of max|P|."""
 
     def check(self, P):
-        lam, factorizations = min_eigenvalue(P)
+        lam, factorizations, _ = min_eigenvalue(P)
         expected = np.linalg.eigvalsh(P.to_dense())[0]
         assert abs(lam - expected) <= 1e-12 * np.abs(P.band).max()
         assert 0 < factorizations
@@ -877,7 +877,7 @@ class TestCertifiedMinEigenvalue:
         assert abs(lam - (1.0 + 0.8 * np.cos(np.pi * (n - 1) / n))) <= 1e-12
 
     def test_dense_path_makes_no_factorization(self):
-        _, factorizations = min_eigenvalue(SparseSymMatrix.identity(SparsityPattern(40, 3)))
+        _, factorizations, _ = min_eigenvalue(SparseSymMatrix.identity(SparsityPattern(40, 3)))
         assert factorizations == 0
 
     def test_non_finite_input_raises(self):
