@@ -12,7 +12,10 @@ when observations arrive less often than the model steps).
 The observation operator carries the noise covariance ``r I``
 (``obs_op.r``): the dense gains add r to the diagonal of Pyy or S, the
 structured gain to the diagonal of M, and the EnKF scales its observation
-perturbations by sqrt(r). No m x m noise matrix is formed.
+perturbations by sqrt(r). No m x m noise matrix is formed. The model noise
+is ``q I`` in the same way: the parameter types carry the scalar ``q``, which
+the sparse filters add to the band's diagonal and the dense UKF to the
+diagonal of Pb.
 """
 
 from __future__ import annotations
@@ -104,37 +107,32 @@ class UkfParams:
 
     pattern: object
     kappa: float = 0.0
-    Q: SparseSymMatrix | None = None
-
-    def __post_init__(self):
-        if self.Q is not None and self.Q.pattern != self.pattern:
-            raise ValueError("Q must live on the filter pattern")
+    q: float = 0.0
 
 
 @dataclass(frozen=True)
 class DenseUkfParams:
-    """Dense-UKF parameters; Q is a dense matrix or None."""
+    """Dense-UKF parameters: scaling factor and model noise."""
 
     kappa: float = 0.0
-    Q: np.ndarray | None = None
+    q: float = 0.0
 
 
 @dataclass(frozen=True)
 class ProgressiveParams:
-    """Progressive-EKF parameters: finite-difference step and inner sub-steps."""
+    """Progressive-EKF parameters: finite-difference step, inner sub-steps
+    and model noise."""
 
     pattern: object
     delta: float = 1e-4
     n_p: int = 1
-    Q: SparseSymMatrix | None = None
+    q: float = 0.0
 
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         if self.n_p < 1:
             raise ValueError("n_p must be >= 1")
-        if self.Q is not None and self.Q.pattern != self.pattern:
-            raise ValueError("Q must live on the filter pattern")
 
 
 @dataclass(frozen=True)
@@ -343,8 +341,8 @@ def sparse_ukf_cycle(state, y_obs, model, obs_op, params):
     A = local_outer_sum(S, w1, pattern)  # A = sum_k w_k S_k S_k^T
     Pb = SparseSymMatrix(pattern, A.band[:, :pattern.half_bandwidth + 1]) \
         - restricted_outer_accumulate(sbar[None, :], np.ones(1), pattern)
-    if params.Q is not None:
-        Pb = Pb + params.Q
+    if params.q:
+        Pb = Pb.add_scaled_identity(params.q)
 
     # Step 3: Kalman update and repair
     evals = model.evaluation_count - evals0
@@ -363,10 +361,10 @@ def progressive_ekf_cycle(state, y_obs, model, obs_op, params):
     finite-difference response (model(x + delta*P_i) - model(x)) / delta
     restricted to pattern column i. Each probe x + delta*P_i differs from x
     only on that column, so it is forecast there alone (``step_columns``),
-    and P, its columns and G + G^T stay on the band. Q is added after the
-    last sub-step. The Kalman update ``_update`` restricts the analysis
-    covariance (I - KH)Pb to the pattern, and it is repaired with gamma*I
-    when indefinite.
+    and P, its columns and G + G^T stay on the band. The model noise q I is
+    added to the band's diagonal after the last sub-step. The Kalman update
+    ``_update`` restricts the analysis covariance (I - KH)Pb to the pattern,
+    and it is repaired with gamma*I when indefinite.
     """
     pattern = params.pattern
     delta = params.delta
@@ -382,8 +380,8 @@ def progressive_ekf_cycle(state, y_obs, model, obs_op, params):
         G = (vals - x_next[pattern.offset_columns]) / delta
         P = SparseSymMatrix.from_columns(G, pattern) - P
         x_base = x_next
-    if params.Q is not None:
-        P = P + params.Q
+    if params.q:
+        P = P.add_scaled_identity(params.q)
 
     evals = model.evaluation_count - evals0
     if y_obs is None:
@@ -445,8 +443,7 @@ def dense_ukf_cycle(state, y_obs, model, obs_op, params):
     Xdev = Xb - xb_mean
     Ydev = Yb - yb_mean
     Pb = (Xdev * w[:, None]).T @ Xdev
-    if params.Q is not None:
-        Pb = Pb + params.Q
+    Pb.flat[::n + 1] += params.q  # the diagonal, in place
 
     evals = model.evaluation_count - evals0
     if y_obs is None:

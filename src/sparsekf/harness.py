@@ -152,8 +152,6 @@ class SummaryStats:
     std: float
     q1: float
     q3: float
-    whisker_low: float
-    whisker_high: float
 
 
 @dataclass
@@ -164,17 +162,14 @@ class RunSummary:
     stats: SummaryStats | None
     n_failed: int
     eval_per_cycle: float
-    gamma_activation_rate: float
-    jitter_activation_rate: float
 
 
 def summarize(values):
-    """Median, mean, sample std, quartiles and 1.5*IQR whisker bounds."""
+    """Median, mean, sample std and quartiles."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("cannot summarize an empty list")
     q1, med, q3 = np.percentile(values, [25.0, 50.0, 75.0])
-    iqr = q3 - q1
     std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
     return SummaryStats(
         n=values.size,
@@ -183,8 +178,6 @@ def summarize(values):
         std=std,
         q1=float(q1),
         q3=float(q3),
-        whisker_low=float(q1 - 1.5 * iqr),
-        whisker_high=float(q3 + 1.5 * iqr),
     )
 
 
@@ -261,8 +254,7 @@ class SparseUkf(_Filter):
 
     def init(self, config, xa0, rng):
         pattern = SparsityPattern(config.n, config.half_bandwidth)
-        Q = SparseSymMatrix.identity(pattern, config.q) if config.q > 0 else None
-        self.params = UkfParams(pattern=pattern, kappa=config.kappa, Q=Q)
+        self.params = UkfParams(pattern=pattern, kappa=config.kappa, q=config.q)
         return FilterState(xa0, SparseSymMatrix.identity(pattern, config.p0))
 
     def cycle(self, state, y):
@@ -276,8 +268,8 @@ class ProgressiveEkf(_Filter):
 
     def init(self, config, xa0, rng):
         pattern = SparsityPattern(config.n, config.half_bandwidth)
-        Q = SparseSymMatrix.identity(pattern, config.q) if config.q > 0 else None
-        self.params = ProgressiveParams(pattern=pattern, delta=config.delta, n_p=config.n_p, Q=Q)
+        self.params = ProgressiveParams(pattern=pattern, delta=config.delta, n_p=config.n_p,
+                                        q=config.q)
         return FilterState(xa0, SparseSymMatrix.identity(pattern, config.p0))
 
     def cycle(self, state, y):
@@ -290,8 +282,7 @@ class DenseUkf(_Filter):
     """The dense-covariance UKF; ``Pa`` is an n x n array."""
 
     def init(self, config, xa0, rng):
-        Q = config.q * np.eye(config.n) if config.q > 0 else None
-        self.params = DenseUkfParams(kappa=config.kappa, Q=Q)
+        self.params = DenseUkfParams(kappa=config.kappa, q=config.q)
         return FilterState(xa0, config.p0 * np.eye(config.n))
 
     def cycle(self, state, y):
@@ -421,7 +412,6 @@ def aggregate_results(config, results):
     """Deterministic reduction of per-replicate results into a RunSummary."""
     ok = [r for r in results if not r.failed]
     stats = summarize([r.rmse for r in ok]) if ok else None
-    n_cycles = config.n_steps
     return RunSummary(
         filter=config.filter,
         param=config.param_label(),
@@ -429,12 +419,6 @@ def aggregate_results(config, results):
         stats=stats,
         n_failed=len(results) - len(ok),
         eval_per_cycle=float(np.mean([r.eval_per_cycle for r in ok])) if ok else float("nan"),
-        gamma_activation_rate=(
-            float(np.mean([r.gamma_activations / n_cycles for r in ok])) if ok else float("nan")
-        ),
-        jitter_activation_rate=(
-            float(np.mean([r.jitter_activations / n_cycles for r in ok])) if ok else float("nan")
-        ),
     )
 
 

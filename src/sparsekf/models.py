@@ -72,37 +72,24 @@ class ComponentModel:
     def step_components_many(self, X, out_indices, dt=None):
         """Step every row of X and return it at its row of ``out_indices``.
 
-        Rows of width n are states and are stepped whole. Rows of any other
-        width are windows gathered from a state (see ``step_columns``): they
-        are stepped by ``advance_windows``, which is exact at least the halo
-        inside both ends, so the requested entries must lie there; None asks
-        for all of them, the window centres (width - left - right entries per
-        row). Each returned entry counts as one evaluation.
+        With ``out_indices`` None the rows are windows gathered from a state
+        (see ``step_columns``), stepped by ``advance_windows``, and each
+        returns its centre (width - left - right entries). Otherwise the rows
+        are states of width n, stepped whole, and row b returns its entries
+        ``out_indices[b]``. Each returned entry counts as one evaluation.
         """
         X = np.asarray(X, dtype=float)
         dt = self._dt(dt)
         if out_indices is None:
             Y = self.advance_windows(X, dt)
-            self._evals += Y.size
-            return Y
-        out_indices = np.asarray(out_indices, dtype=np.intp)
-        if X.ndim != 2 or X.shape[0] != out_indices.shape[0]:
-            raise ValueError("one output index row per state required")
-        width = X.shape[1]
-        if width == self.n:
-            Y = self.advance(X, dt)
         else:
-            left, right = self.halo
-            if out_indices.size and (out_indices.min() < left
-                                     or out_indices.max() >= width - right):
+            out_indices = np.asarray(out_indices, dtype=np.intp)
+            if X.shape != (out_indices.shape[0], self.n):
                 raise ValueError(
-                    f"window outputs must lie in [{left}, {width - right}) of a "
-                    f"width-{width} window"
-                )
-            Y = self.advance_windows(X, dt)
-            out_indices = out_indices - left
-        self._evals += out_indices.size
-        return np.take_along_axis(Y, out_indices, axis=1)
+                    f"explicit indices need one index row per state of width {self.n}")
+            Y = np.take_along_axis(self.advance(X, dt), out_indices, axis=1)
+        self._evals += Y.size
+        return Y
 
 
 @lru_cache(maxsize=8)

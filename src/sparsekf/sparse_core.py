@@ -172,9 +172,13 @@ class SparseSymMatrix:
         return self.band.ravel()[self.pattern.column_slots]
 
     def dense_columns(self, cols):
-        """Dense columns ``to_dense()[:, cols]`` without forming the n x n matrix."""
-        cols = np.ascontiguousarray(cols, dtype=np.intp)
-        return _take(self, _column_index(self.n, self.pattern.half_bandwidth, cols.tobytes()))
+        """Dense columns ``to_dense()[:, cols]`` without forming the n x n
+        matrix: column j's pattern entries, scattered to their rows."""
+        cols = np.asarray(cols, dtype=np.intp)
+        out = np.zeros((self.n, cols.size))
+        out[self.pattern.offset_columns[cols], np.arange(cols.size)[:, None]] = \
+            self.band.ravel()[self.pattern.column_slots[cols]]
+        return out
 
     def to_dense(self):
         """Dense n x n matrix. An antipodal pair {i, i+h} (n = 2h) has two
@@ -434,14 +438,6 @@ def _band_index(n, h, i, j):
 def _take(A, index):
     """Entries of the SparseSymMatrix A at ``_band_index`` flat indices."""
     return np.append(A.band.ravel(), 0.0)[index]
-
-
-@lru_cache(maxsize=16)
-def _column_index(n, h, cols_key):
-    """(n, cols) flat band indices of the dense columns ``cols``. Column j
-    reads slot (j, d) at row j + d, as ``to_dense`` writes an antipodal pair."""
-    cols = np.frombuffer(cols_key, dtype=np.intp)
-    return _read_only(_band_index(n, h, cols[None, :], np.arange(n)[:, None]))
 
 
 # ---------------------------------------------------------------------------

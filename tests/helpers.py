@@ -112,8 +112,8 @@ def dense_path_sparse_ukf_cycle(state, y_obs, model, obs_op, params):
     Ydev = Yb - yb_mean
 
     Pb = restricted_outer_accumulate(Xdev, w, pattern)
-    if params.Q is not None:
-        Pb = Pb + params.Q
+    if params.q:
+        Pb = Pb + SparseSymMatrix.identity(pattern, params.q)
     Pxy = (Xdev * w[:, None]).T @ Ydev
     Pyy = (Ydev * w[:, None]).T @ Ydev + obs_op.r * np.eye(obs_op.m)
 
@@ -155,8 +155,8 @@ def dense_path_progressive_ekf_cycle(state, y_obs, model, obs_op, params):
         Gd[cols, col_rows] = G
         P = SparseSymMatrix.from_dense(Gd + Gd.T, pattern) - P
         x_base = x_next
-    if params.Q is not None:
-        P = P + params.Q
+    if params.q:
+        P = P + SparseSymMatrix.identity(pattern, params.q)
 
     xb = x_base
     yb = obs_op.observe(xb)

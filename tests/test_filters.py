@@ -128,17 +128,16 @@ class TestScalarKalmanOracle:
 class TestProgressiveCovariance:
     def test_identity_model_gives_exact_background(self):
         # M(x) = x makes the finite-difference response equal P for any delta,
-        # so Pb = Pa + Q exactly
+        # so Pb = Pa + q I exactly
         n = 6
         pattern = SparsityPattern(n, n // 2)
         rng = np.random.default_rng(19)
         M = rng.normal(size=(n, n))
         Pa = SparseSymMatrix.from_dense(M @ M.T + n * np.eye(n), pattern)
-        Q = SparseSymMatrix.identity(pattern, 0.07)
         model = LinearModel(np.eye(n))
         obs_op = ObservationOperator(n)
         for delta in (1e-6, 1e-4, 1e-1, 1.0):
-            params = ProgressiveParams(pattern=pattern, delta=delta, Q=Q)
+            params = ProgressiveParams(pattern=pattern, delta=delta, q=0.07)
             out = progressive_ekf_cycle(FilterState(rng.normal(size=n), Pa),
                                         None, model, obs_op, params)
             expected = Pa.to_dense() + 0.07 * np.eye(n)
@@ -415,9 +414,6 @@ class TestParamValidation:
             ProgressiveParams(pattern=pattern, delta=0.0)
         with pytest.raises(ValueError):
             ProgressiveParams(pattern=pattern, n_p=0)
-        with pytest.raises(ValueError):
-            other = SparsityPattern(8, 2)
-            UkfParams(pattern=pattern, Q=SparseSymMatrix.identity(other))
 
 
 class TestDensePathOracle:
@@ -455,14 +451,13 @@ class TestDensePathOracle:
                                            (40, -20.0, 0.0)])
     def test_sparse_ukf_cycle_matches(self, n, kappa, q):
         # includes full patterns (even and odd n), a nonzero center weight,
-        # a negative one, and Q
+        # a negative one, and model noise q I
         nsp = n if n < 10 else 9
         model, obs_op, pattern, state, x0, rng = lorenz_setup(n=n, nsp=nsp, seed=62)
         if n < 10:
             pattern = SparsityPattern(n, n // 2)
             state = FilterState(state.xa, SparseSymMatrix.identity(pattern, 0.2))
-        Q = SparseSymMatrix.identity(pattern, q) if q else None
-        params = UkfParams(pattern=pattern, kappa=kappa, Q=Q)
+        params = UkfParams(pattern=pattern, kappa=kappa, q=q)
         for _ in range(5):
             y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
             new = sparse_ukf_cycle(state, y, model, obs_op, params)
@@ -693,14 +688,13 @@ class TestGainPathSelection:
 
     @pytest.mark.parametrize("name", FILTERS)
     def test_failing_structured_cycle_stays_linear_in_n(self, name):
-        # cold caches; a detour through the dense gain's (n, m) column index
-        # and Pxy would peak at about 133 MiB
+        # a cold gain layout; a detour through the dense gain's (n, m) Pxy
+        # alone would take 25 MiB
         n = 2560
         model, _, pattern, state, x0, rng = lorenz_setup(n=n, nsp=7, seed=78)
         cycle, _, params = filter_params(name, pattern)
         obs_op = ObservationOperator(n, r=-10.0)
         y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
-        sparse_core._column_index.cache_clear()
         sparse_core.gain_layout.cache_clear()
         tracemalloc.start()
         try:
@@ -710,7 +704,6 @@ class TestGainPathSelection:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak
-        assert sparse_core._column_index.cache_info().currsize == 0
 
 
 class TestSmallRingsMakeNoStructuredFactor:

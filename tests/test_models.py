@@ -112,6 +112,13 @@ class TestStepComponents:
         for b in range(6):
             assert np.array_equal(vals[b], model.step(X[b])[idx[b]])
 
+    def test_indices_need_whole_states(self):
+        # rows narrower than n are windows, which only return their centres
+        model = Lorenz96Model()
+        with pytest.raises(ValueError):
+            model.step_components_many(np.zeros((2, 19)), np.array([[8, 14], [9, 10]]))
+        assert model.evaluation_count == 0
+
 
 class TestWindowedEvaluation:
     """``step_columns`` steps each perturbed state on its pattern column plus
@@ -205,27 +212,6 @@ class TestWindowedEvaluation:
                 want = A @ (x + _scatter(pattern, c, P[s, c]))
                 assert np.array_equal(got[s, c], want[pattern.offset_columns[c]])
         assert model.evaluation_count == 2 * n * pattern.nsp
-
-    @pytest.mark.parametrize("n,nsp", [(40, 7), (160, 41), (640, 7)])
-    def test_window_centre_equals_its_explicit_indices(self, n, nsp):
-        # None asks for every entry the window step keeps, its centre
-        rng = np.random.default_rng(n + nsp)
-        left, right = Lorenz96Model.halo
-        X = rng.normal(scale=3.0, size=(2 * n, nsp + left + right))
-        centre = np.broadcast_to(np.arange(left, left + nsp), (2 * n, nsp))
-        implicit, explicit = Lorenz96Model(n=n), Lorenz96Model(n=n)
-        got = implicit.step_components_many(X, None)
-        assert np.array_equal(got, explicit.step_components_many(X, centre))
-        assert implicit.evaluation_count == explicit.evaluation_count == 2 * n * nsp
-
-    def test_window_outputs_must_stay_inside_the_halo(self):
-        model = Lorenz96Model()
-        X = np.zeros((2, 19))
-        model.step_components_many(X, np.array([[8, 14], [9, 10]]))
-        with pytest.raises(ValueError):
-            model.step_components_many(X, np.array([[7, 8], [9, 10]]))
-        with pytest.raises(ValueError):
-            model.step_components_many(X, np.array([[8, 15], [9, 10]]))
 
     def test_shape_validation(self):
         model = Lorenz96Model()

@@ -232,6 +232,25 @@ class TestOffsetOrder:
         assert np.array_equal(M.dense_columns([1, 4]), M.to_dense()[:, [1, 4]])
         assert M.dense_columns([1, 4])[[4, 1], [0, 1]].tolist() == [1.0, 2.0]
 
+    def test_dense_columns_peak_at_their_output_and_retain_nothing(self):
+        # the columns are scattered through the pattern's own (n, nsp) index:
+        # no (n, m) index is built or kept, on a cold pattern and column set
+        n = 2560
+        p = SparsityPattern(n, 3)
+        M = SparseSymMatrix(p, np.random.default_rng(2560).normal(size=(n, 4)))
+        cols = np.arange(1, n, 3)
+        output = 8 * n * cols.size
+        tracemalloc.start()
+        try:
+            D = M.dense_columns(cols)
+            peak = tracemalloc.get_traced_memory()[1]
+            del D
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * output, peak / output
+        assert retained < 2**20, retained
+
     @pytest.mark.parametrize("n,h", PATTERNS)
     def test_from_columns_is_m_plus_m_transpose(self, n, h):
         p = SparsityPattern(n, h)
