@@ -99,7 +99,6 @@ def _cmd_run(args):
         ("rmse", f"{result.rmse:.6g}"),
         ("eval per cycle", f"{result.eval_per_cycle:.6g}"),
         ("gamma activations", result.gamma_activations),
-        ("jitter activations", result.jitter_activations),
         ("repair factorizations", result.repair_factorizations),
     )
     for label, value in rows:

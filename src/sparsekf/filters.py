@@ -30,10 +30,10 @@ from .models import step_columns
 from .sparse_core import (
     CyclicReduction,
     FactorizationError,
+    SparseColumns,
     SparseSymMatrix,
     _dense_cholesky,
     band_gain,
-    cholesky_with_jitter,
     gain_layout,
     incomplete_cholesky,
     local_outer_sum,
@@ -59,8 +59,12 @@ class CycleDiagnostics:
     """Per-cycle bookkeeping: repair sizes, computational load, innovation.
 
     ``repair_factorizations`` counts the Cholesky factorizations the gamma
-    repair made (1 when one certified the covariance positive definite, 0
-    on the dense path, where the repair is a dense eigvalsh). ``nis`` is the
+    repair made to decide whether to repair: 1 when one certified the
+    covariance positive definite (the sparse UKF's next sigma-point factor,
+    the progressive EKF's CyclicReduction), plus those of
+    ``min_eigenvalue``; 0 on the dense path, where the repair is a dense
+    eigvalsh. The sparse UKF's factor of a repaired covariance, or of one
+    found positive definite by an eigenvalue, is not counted. ``nis`` is the
     normalized innovation squared ``d^T Pyy^-1 d / m`` of the innovation d
     (0.0 for a forecast-only cycle). ``lambda_bound`` is True when the
     repair spent EIGEN_FACTORIZATIONS without certifying lambda_min and
@@ -68,7 +72,6 @@ class CycleDiagnostics:
     """
 
     gamma: float = 0.0
-    cholesky_jitter: float = 0.0
     evaluations: int = 0
     innovation_norm: float = 0.0
     repair_factorizations: int = 0
@@ -83,13 +86,18 @@ class FilterState:
     ``Pa`` is a SparseSymMatrix for the sparse filters and a dense array for
     the dense UKF. ``eigenvector`` is the unit Ritz vector of the last
     lambda_min the gamma repair computed on the structured path, the warm
-    start of the next one; it is None until then.
+    start of the next one; it is None until then. ``factor`` is the sparse
+    UKF's SparseColumns factor of ``(n + kappa) Pa``, which its gamma repair
+    leaves for the next cycle's sigma points; it is None for the other
+    filters and for a state built by hand, whose next cycle factors ``Pa``
+    itself.
     """
 
     xa: np.ndarray
     Pa: object
     diagnostics: CycleDiagnostics | None = None
     eigenvector: np.ndarray | None = None
+    factor: SparseColumns | None = None
 
 
 def ukf_weights(n, kappa=0.0):
@@ -183,16 +191,22 @@ def _gaspari_cohn_matrix(n, radius):
     return C
 
 
-def _gamma_repair(E, start=None):
+def _gamma_repair(E, start=None, scale=None):
     """Eq.-style positivity repair: gamma = |lambda_min| + margin if indefinite.
 
-    On the structured path (``uses_structured_path``) one factorization
-    first tries to certify ``E - tau I`` positive definite, tau = PD_FLOOR *
-    max|E|; gamma is then 0 without an eigenvalue. That factorization is
-    skipped when the Rayleigh quotient of ``start`` (the previous repair's
-    vector) already lies below -tau, since then it must fail. ``start`` also
-    warm-starts ``min_eigenvalue``. Returns (Pa, gamma, factorizations
-    made, lambda_bound, vector), the vector the next repair starts from:
+    ``scale`` is the sparse UKF's n + kappa: the repair then also returns
+    ``incomplete_cholesky(Pa, scale)``, the next cycle's sigma-point factor
+    (None for the progressive EKF, which passes no scale). On the structured
+    path (``uses_structured_path``) one factorization first tries to certify
+    E positive definite, so that gamma is 0 without an eigenvalue: with a
+    scale, that factor of E itself; without one, a CyclicReduction of ``E -
+    tau I``, tau = PD_FLOOR * max|E|. It is skipped when the Rayleigh
+    quotient of ``start`` (the previous repair's vector) already lies below
+    -tau, since then it must fail. ``start`` also warm-starts
+    ``min_eigenvalue``. Otherwise gamma comes from lambda_min, and with a
+    scale the repaired matrix is factored once; a factor that fails raises
+    FactorizationError. Returns (Pa, gamma, factorizations made,
+    lambda_bound, vector, factor), the vector the next repair starts from:
     the new Ritz vector, or ``start`` when there is none.
     """
     factorizations = 0
@@ -201,20 +215,22 @@ def _gamma_repair(E, start=None):
         tau = PD_FLOOR * float(np.abs(E.band).max())
         if start is None or _rayleigh_quotient(E, start) >= -tau:
             factorizations = 1
-            try:
-                CyclicReduction(E, shift=-tau)
-                return E, 0.0, factorizations, False, start
-            except np.linalg.LinAlgError:
+            try:  # a non-finite E fails here too, and min_eigenvalue raises for it
+                if scale is None:
+                    CyclicReduction(E, shift=-tau)
+                    return E, 0.0, factorizations, False, start, None
+                return E, 0.0, factorizations, False, start, incomplete_cholesky(E, scale)
+            except (np.linalg.LinAlgError, FactorizationError):
                 pass
     lam, count, vector = min_eigenvalue(E, start)
     factorizations += count
     bound = structured and vector is None  # lam is a lower bound of lambda_min
     if vector is not None:
         start = vector
-    if lam < 0.0:
-        gamma = -lam + GAMMA_MARGIN
-        return E.add_scaled_identity(gamma), gamma, factorizations, bound, start
-    return E, 0.0, factorizations, bound, start
+    gamma = -lam + GAMMA_MARGIN if lam < 0.0 else 0.0
+    Pa = E.add_scaled_identity(gamma) if gamma else E
+    factor = None if scale is None else incomplete_cholesky(Pa, scale)
+    return Pa, gamma, factorizations, bound, start, factor
 
 
 def _rayleigh_quotient(E, x):
@@ -295,21 +311,23 @@ def _update(xb, Pb, A, innov, obs_op, sbar=None):
     return xa, Pb - CMC - rank_one, (float(innov @ Md) + alpha * ud * ud) / oi.size
 
 
-def _analysis(xa, E, jitter, evals, start, innov=None, nis=0.0):
+def _analysis(xa, E, evals, start, scale, innov=None, nis=0.0):
     """Repair the analysis covariance E, warm-started from the vector
-    ``start`` (``FilterState.eigenvector``), and wrap up the cycle (innov
-    None: a forecast-only cycle)."""
-    Pa, gamma, factorizations, bound, vector = _gamma_repair(E, start)
+    ``start`` (``FilterState.eigenvector``), factor it with ``scale`` (None:
+    no factor), and wrap up the cycle (innov None: a forecast-only cycle)."""
+    Pa, gamma, factorizations, bound, vector, factor = _gamma_repair(E, start, scale)
     innovation_norm = 0.0 if innov is None else float(np.linalg.norm(innov))
-    return FilterState(xa, Pa, CycleDiagnostics(gamma, jitter, evals, innovation_norm,
-                                                factorizations, nis, bound), vector)
+    return FilterState(xa, Pa, CycleDiagnostics(gamma, evals, innovation_norm,
+                                                factorizations, nis, bound), vector, factor)
 
 
 def sparse_ukf_cycle(state, y_obs, model, obs_op, params):
     """One sparse-UKF assimilation cycle.
 
     Step 1: sigma-point perturbations are the columns of the pattern-
-    restricted Cholesky factor of (n+kappa)*Pa. The center point is forecast
+    restricted Cholesky factor of (n+kappa)*Pa, the one the previous cycle's
+    repair left in ``state.factor`` (made here only when there is none, as
+    on the first cycle). The center point is forecast
     with the full model; each of the 2n perturbed points differs from it only
     on one pattern column and is forecast only there (``step_columns``),
     giving its local deviation S_k from the center forecast xb0 on that
@@ -321,15 +339,17 @@ def sparse_ukf_cycle(state, y_obs, model, obs_op, params):
     is the slice of A on the pattern less the pattern part of sbar sbar^T;
     no n-vector per sigma point is ever formed.
     Step 3: the Kalman update ``_update`` of (xb0 + sbar, Pb) from A and
-    sbar, and the adaptive gamma*I positivity repair.
+    sbar, and the adaptive gamma*I positivity repair, which factors the
+    next cycle's (n+kappa)*Pa.
     """
     n = model.n
     pattern = params.pattern
+    scale = n + params.kappa
     w1 = ukf_weights(n, params.kappa)[1]  # every perturbed point has this weight
     evals0 = model.evaluation_count
 
     # Step 1: sigma points and forecast
-    factor, jitter = incomplete_cholesky(state.Pa, n + params.kappa)
+    factor = state.factor if state.factor is not None else incomplete_cholesky(state.Pa, scale)
     xb0 = model.step(state.xa)
     S = step_columns(model, state.xa, pattern, np.stack([factor.values, -factor.values]))
     S -= xb0[pattern.offset_columns]  # (2, n, nsp) local deviations
@@ -347,10 +367,10 @@ def sparse_ukf_cycle(state, y_obs, model, obs_op, params):
     # Step 3: Kalman update and repair
     evals = model.evaluation_count - evals0
     if y_obs is None:
-        return _analysis(xb_mean, Pb, jitter, evals, state.eigenvector)
+        return _analysis(xb_mean, Pb, evals, state.eigenvector, scale)
     innov = np.asarray(y_obs, dtype=float) - obs_op.observe(xb_mean)
     xa, E, nis = _update(xb_mean, Pb, A, innov, obs_op, sbar)
-    return _analysis(xa, E, jitter, evals, state.eigenvector, innov, nis)
+    return _analysis(xa, E, evals, state.eigenvector, scale, innov, nis)
 
 
 def progressive_ekf_cycle(state, y_obs, model, obs_op, params):
@@ -385,10 +405,10 @@ def progressive_ekf_cycle(state, y_obs, model, obs_op, params):
 
     evals = model.evaluation_count - evals0
     if y_obs is None:
-        return _analysis(x_base, P, 0.0, evals, state.eigenvector)
+        return _analysis(x_base, P, evals, state.eigenvector, None)
     innov = np.asarray(y_obs, dtype=float) - obs_op.observe(x_base)
     xa, E, nis = _update(x_base, P, P, innov, obs_op)
-    return _analysis(xa, E, 0.0, evals, state.eigenvector, innov, nis)
+    return _analysis(xa, E, evals, state.eigenvector, None, innov, nis)
 
 
 def enkf_cycle(ensemble, y_obs, model, obs_op, params, rng):
@@ -428,12 +448,19 @@ def enkf_cycle(ensemble, y_obs, model, obs_op, params, rng):
 
 
 def dense_ukf_cycle(state, y_obs, model, obs_op, params):
-    """One textbook UKF cycle with a dense covariance (the reference estimator)."""
+    """One textbook UKF cycle with a dense covariance (the reference estimator).
+
+    It has no repair: a ``(n+kappa)*Pa`` that does not factor raises
+    FactorizationError.
+    """
     n = model.n
     w = ukf_weights(n, params.kappa)
     evals0 = model.evaluation_count
 
-    L, jitter = cholesky_with_jitter((n + params.kappa) * state.Pa)
+    try:
+        L = _dense_cholesky((n + params.kappa) * state.Pa)
+    except np.linalg.LinAlgError:
+        raise FactorizationError(f"{n + params.kappa:g} * Pa is not positive definite") from None
     sigma = np.concatenate([state.xa[None, :], state.xa + L.T, state.xa - L.T])
     Xb = model.step_many(sigma)
     xb_mean = w @ Xb
@@ -447,7 +474,7 @@ def dense_ukf_cycle(state, y_obs, model, obs_op, params):
 
     evals = model.evaluation_count - evals0
     if y_obs is None:
-        diag = CycleDiagnostics(0.0, jitter, evals, 0.0)
+        diag = CycleDiagnostics(0.0, evals, 0.0)
         return FilterState(xb_mean, Pb, diag)
 
     y_obs = np.asarray(y_obs, dtype=float)
@@ -458,6 +485,6 @@ def dense_ukf_cycle(state, y_obs, model, obs_op, params):
     xa = xb_mean + Kd
     Pa = Pb - W.T @ W
 
-    diag = CycleDiagnostics(0.0, jitter, evals, float(np.linalg.norm(innov)),
+    diag = CycleDiagnostics(0.0, evals, float(np.linalg.norm(innov)),
                             nis=zz / innov.size)
     return FilterState(xa, Pa, diag)

@@ -136,7 +136,6 @@ class ReplicateResult:
     rmse: float
     eval_per_cycle: float
     gamma_activations: int
-    jitter_activations: int
     failed: bool = False
     error: str | None = None
     repair_factorizations: int = 0
@@ -338,7 +337,7 @@ def run_replicate(config, replicate):
     state = filt.init(config, xa0, np.random.default_rng(s_filter))
 
     sq_sum = float(np.sum((state.xa - truth[0]) ** 2))
-    gamma_hits = jitter_hits = factorizations = 0
+    gamma_hits = factorizations = 0
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for k in range(1, config.n_steps + 1):
@@ -348,18 +347,17 @@ def run_replicate(config, replicate):
                 d = state.diagnostics
                 if d is not None:
                     gamma_hits += d.gamma > 0.0
-                    jitter_hits += d.cholesky_jitter > 0.0
                     factorizations += d.repair_factorizations
     except (FactorizationError, FloatingPointError, np.linalg.LinAlgError, MemoryError) as exc:
         return ReplicateResult(
-            replicate, float("nan"), float("nan"), gamma_hits, jitter_hits,
+            replicate, float("nan"), float("nan"), gamma_hits,
             failed=True, error=f"{type(exc).__name__} at cycle {k}: {exc}",
             repair_factorizations=factorizations,
         )
 
     run_rmse = math.sqrt(sq_sum / (config.n * (config.n_steps + 1)))
     eval_per_cycle = model.evaluation_count / config.n_steps
-    return ReplicateResult(replicate, run_rmse, eval_per_cycle, gamma_hits, jitter_hits,
+    return ReplicateResult(replicate, run_rmse, eval_per_cycle, gamma_hits,
                            repair_factorizations=factorizations)
 
 
@@ -426,8 +424,7 @@ def _fmt(x):
     return f"{x:.6g}"
 
 
-RUNS_CSV_HEADER = (
-    "filter,param,replicate,rmse,eval_per_cycle,gamma_activations,jitter_activations")
+RUNS_CSV_HEADER = "filter,param,replicate,rmse,eval_per_cycle,gamma_activations"
 SUMMARY_CSV_HEADER = "filter,param,median,mean,std,q1,q3,n_replicates,n_failed"
 
 
@@ -438,8 +435,7 @@ def write_runs_csv(summary, path):
         for r in summary.results:
             f.write(
                 f"{summary.filter},{summary.param},{r.replicate},"
-                f"{_fmt(r.rmse)},{_fmt(r.eval_per_cycle)},{r.gamma_activations},"
-                f"{r.jitter_activations}\n"
+                f"{_fmt(r.rmse)},{_fmt(r.eval_per_cycle)},{r.gamma_activations}\n"
             )
 
 

@@ -14,19 +14,19 @@ Contents:
   - restricted_outer_accumulate / restricted_product: pattern-limited products
   - local_outer_sum: the sum of outer products of column-local vectors, a
     band of twice the half bandwidth
-  - cholesky_with_jitter: the jitter retry schedule shared by every factor;
-    uses_structured_path decides from (n, h) when a band factor replaces
+  - uses_structured_path: decides from (n, h) when a band factor replaces
     the dense one
   - CyclicReduction: the one band factorization, odd-even block cyclic
     reduction in O(log n) batched levels, with solves and the selected
     inverse (the blocks of its inverse on the cyclic block-tridiagonal
-    pattern); it serves the gamma repair's certificate, min_eigenvalue,
-    band_gain and the natural-order factor
+    pattern); it serves the progressive EKF's repair certificate,
+    min_eigenvalue, band_gain and the natural-order factor
   - cyclic_band_cholesky: the pattern columns of the natural-order factor
     of a cyclic band, one window solve per column against the selected
     inverse of its leading block, plus a border of h to h + b - 1 rows
-  - incomplete_cholesky: pattern-restricted factorization with jitter
-    retries; its columns are the sigma points
+  - incomplete_cholesky: pattern-restricted factorization, no retry; its
+    columns are the sigma points, and the sparse UKF's gamma repair makes
+    it once per cycle, as the certificate or after the repair
   - min_eigenvalue: smallest eigenvalue of the represented symmetric matrix,
     certified by shifted factorizations on the structured path, where a
     Ritz vector from an earlier call can warm-start it
@@ -46,7 +46,8 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 
 class FactorizationError(RuntimeError):
-    """A matrix did not factor (incomplete Cholesky: even after jitter retries)."""
+    """A matrix did not factor: it has a non-finite entry or is not
+    positive definite. No factorization retries with a shifted matrix."""
 
 
 class SparsityPattern:
@@ -195,16 +196,9 @@ class SparseSymMatrix:
         band[:, 0] += c
         return SparseSymMatrix(self.pattern, band)
 
-    def _check_same_pattern(self, other):
+    def __sub__(self, other):
         if self.pattern != other.pattern:
             raise ValueError("patterns differ")
-
-    def __add__(self, other):
-        self._check_same_pattern(other)
-        return SparseSymMatrix(self.pattern, self.band + other.band)
-
-    def __sub__(self, other):
-        self._check_same_pattern(other)
         return SparseSymMatrix(self.pattern, self.band - other.band)
 
 
@@ -376,10 +370,7 @@ def _sum_layout(n, h):
 
 
 # ---------------------------------------------------------------------------
-# Cholesky factorization: one jitter schedule, a dense and a structured kernel
-
-JITTER_START = 1e-10  # first jitter of the retry schedule; it doubles on each retry
-JITTER_RETRIES = 20
+# Cholesky factorization: a dense and a structured kernel
 
 # The dense/structured crossover: a band is factored on its band when n is
 # at least MIN_BLOCKS * max(BLOCK_ROWS, h); below that, one dense LAPACK call
@@ -395,30 +386,13 @@ def _check_finite(values):
         raise FactorizationError("cannot factor a matrix with non-finite entries")
 
 
-def _dense_cholesky(A, jitter=0.0):
-    """Lower Cholesky factor of the dense matrix ``A + jitter * I``."""
+def _dense_cholesky(A):
+    """Lower Cholesky factor of the dense matrix ``A``. Non-finite input
+    raises FactorizationError (numpy's Cholesky returns NaNs for it); a
+    matrix that is not positive definite, ``np.linalg.LinAlgError``."""
     A = np.asarray(A, dtype=float)
     _check_finite(A)
-    return np.linalg.cholesky(A if jitter == 0.0 else A + jitter * np.eye(A.shape[0]))
-
-
-def cholesky_with_jitter(A, factor=_dense_cholesky):
-    """``(factor(A, jitter), jitter)`` for the first jitter that factors.
-
-    The schedule is 0, then JITTER_START doubling for at most JITTER_RETRIES
-    retries; ``factor`` signals a matrix that is not positive definite by
-    raising ``np.linalg.LinAlgError``. Non-finite input raises
-    FactorizationError at once (numpy's Cholesky returns NaNs for it).
-    """
-    jitter = 0.0
-    for _ in range(JITTER_RETRIES + 1):
-        try:
-            return factor(A, jitter), jitter
-        except np.linalg.LinAlgError:
-            jitter = JITTER_START if jitter == 0.0 else 2.0 * jitter
-    raise FactorizationError(
-        f"Cholesky failed after {JITTER_RETRIES} jitter retries (last jitter {jitter / 2:g})"
-    )
+    return np.linalg.cholesky(A)
 
 
 def uses_structured_path(n, h):
@@ -770,26 +744,24 @@ def incomplete_cholesky(P, scale=1.0):
     contributions are zeroed inside the recurrence.
 
     Large rings (``uses_structured_path``) are factored by
-    ``cyclic_band_cholesky``, one CyclicReduction per jitter tried, in
-    O(n h^2); the rest through the dense n x n matrix. Both retry on ``scale
-    * P + jitter * I`` with the schedule of ``cholesky_with_jitter``.
-
-    Returns
-    -------
-    (L, jitter) : (SparseColumns, float)
-        Factor columns in offset order (the sigma-point perturbation
-        vectors, aligned with ``pattern.offset_columns``) and the jitter
-        that was finally applied (0.0 when none was needed).
+    ``cyclic_band_cholesky`` in O(n h^2); the rest through the dense n x n
+    matrix. Returns the factor columns in offset order (the sigma-point
+    perturbation vectors, aligned with ``pattern.offset_columns``) as
+    SparseColumns. A ``scale * P`` that is not positive definite, or has a
+    non-finite entry, raises FactorizationError: the factorization itself is
+    the positive-definiteness test, and nothing is retried.
     """
     if scale <= 0.0:
         raise ValueError(f"scale must be positive, got {scale}")
     pattern = P.pattern
-    if uses_structured_path(pattern.n, pattern.half_bandwidth):
-        return cholesky_with_jitter(P, lambda A, j: cyclic_band_cholesky(A, scale, j))
-    A = P.to_dense()
-    A *= scale
-    L, jitter = cholesky_with_jitter(A)
-    return SparseColumns.from_dense(L, pattern), jitter
+    try:
+        if uses_structured_path(pattern.n, pattern.half_bandwidth):
+            return cyclic_band_cholesky(P, scale)
+        A = P.to_dense()
+        A *= scale
+        return SparseColumns.from_dense(_dense_cholesky(A), pattern)
+    except np.linalg.LinAlgError:
+        raise FactorizationError(f"{scale:g} * P is not positive definite") from None
 
 
 # ---------------------------------------------------------------------------

@@ -61,24 +61,15 @@ def dense_kf_cycle(x, P, A, H, Q, R, y):
 
 
 def dense_pattern_factor(P, scale):
-    """Dense ``np.linalg.cholesky`` of ``scale * P`` with the jitter schedule
-    0, 1e-10, 2e-10, ... (at most 20 retries), zeroed off the pattern."""
+    """Dense ``np.linalg.cholesky`` of ``scale * P``, zeroed off the pattern."""
     n = P.n
     A = P.to_dense()
     A *= scale
-    jitter = 0.0
-    for _ in range(21):
-        try:
-            L = np.linalg.cholesky(A if jitter == 0.0 else A + jitter * np.eye(n))
-            break
-        except np.linalg.LinAlgError:
-            jitter = 1e-10 if jitter == 0.0 else 2.0 * jitter
-    else:
-        raise AssertionError("dense oracle factorization failed")
+    L = np.linalg.cholesky(A)
     i = np.arange(n)
     dist = np.abs(i[:, None] - i[None, :])
     inside = np.minimum(dist, n - dist) <= P.pattern.half_bandwidth
-    return np.where(inside, L, 0.0), jitter
+    return np.where(inside, L, 0.0)
 
 
 def dense_gamma_repair(E):
@@ -97,7 +88,7 @@ def dense_path_sparse_ukf_cycle(state, y_obs, model, obs_op, params):
     w = ukf_weights(n, params.kappa)
     evals0 = model.evaluation_count
 
-    D, jitter = dense_pattern_factor(state.Pa, n + params.kappa)
+    D = dense_pattern_factor(state.Pa, n + params.kappa)
     xb0 = model.step(state.xa)
     sigma = np.concatenate([state.xa + D.T, state.xa - D.T])  # (2n, n)
     out_idx = np.concatenate([pattern.offset_columns, pattern.offset_columns])
@@ -113,14 +104,14 @@ def dense_path_sparse_ukf_cycle(state, y_obs, model, obs_op, params):
 
     Pb = restricted_outer_accumulate(Xdev, w, pattern)
     if params.q:
-        Pb = Pb + SparseSymMatrix.identity(pattern, params.q)
+        Pb = Pb.add_scaled_identity(params.q)
     Pxy = (Xdev * w[:, None]).T @ Ydev
     Pyy = (Ydev * w[:, None]).T @ Ydev + obs_op.r * np.eye(obs_op.m)
 
     evals = model.evaluation_count - evals0
     if y_obs is None:
         Pa, gamma = dense_gamma_repair(Pb)
-        return FilterState(xb_mean, Pa, CycleDiagnostics(gamma, jitter, evals, 0.0))
+        return FilterState(xb_mean, Pa, CycleDiagnostics(gamma, evals, 0.0))
 
     y_obs = np.asarray(y_obs, dtype=float)
     K = np.linalg.solve(Pyy, Pxy.T).T
@@ -129,7 +120,7 @@ def dense_path_sparse_ukf_cycle(state, y_obs, model, obs_op, params):
     E = Pb - SparseSymMatrix.from_dense(K @ Pxy.T, pattern)
     Pa, gamma = dense_gamma_repair(E)
     nis = float(innov @ np.linalg.solve(Pyy, innov)) / innov.size
-    return FilterState(xa, Pa, CycleDiagnostics(gamma, jitter, evals,
+    return FilterState(xa, Pa, CycleDiagnostics(gamma, evals,
                                                 float(np.linalg.norm(innov)), nis=nis))
 
 
@@ -156,14 +147,14 @@ def dense_path_progressive_ekf_cycle(state, y_obs, model, obs_op, params):
         P = SparseSymMatrix.from_dense(Gd + Gd.T, pattern) - P
         x_base = x_next
     if params.q:
-        P = P + SparseSymMatrix.identity(pattern, params.q)
+        P = P.add_scaled_identity(params.q)
 
     xb = x_base
     yb = obs_op.observe(xb)
     evals = model.evaluation_count - evals0
     if y_obs is None:
         Pa, gamma = dense_gamma_repair(P)
-        return FilterState(xb, Pa, CycleDiagnostics(gamma, 0.0, evals, 0.0))
+        return FilterState(xb, Pa, CycleDiagnostics(gamma, evals, 0.0))
 
     y_obs = np.asarray(y_obs, dtype=float)
     oi = obs_op.indices
@@ -175,7 +166,7 @@ def dense_path_progressive_ekf_cycle(state, y_obs, model, obs_op, params):
     E = P - SparseSymMatrix.from_dense(K @ PHt.T, pattern)
     Pa, gamma = dense_gamma_repair(E)
     nis = float(innov @ np.linalg.solve(S, innov)) / innov.size
-    return FilterState(xa, Pa, CycleDiagnostics(gamma, 0.0, evals,
+    return FilterState(xa, Pa, CycleDiagnostics(gamma, evals,
                                                 float(np.linalg.norm(innov)), nis=nis))
 
 

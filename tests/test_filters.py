@@ -1,6 +1,7 @@
 """Filter-cycle tests: oracles, limits, counts, and positivity repairs."""
 
 import csv
+import dataclasses
 import math
 import tracemalloc
 
@@ -37,7 +38,6 @@ from sparsekf.sparse_core import (
     FactorizationError,
     SparseSymMatrix,
     SparsityPattern,
-    cholesky_with_jitter,
     incomplete_cholesky,
     min_eigenvalue,
 )
@@ -74,14 +74,8 @@ class TestWeights:
 class TestSigmaOffsets:
     def test_identity_covariance_offsets(self):
         # sqrt((n + kappa) I) with n=2, kappa=0 gives +-sqrt(2) e_i offsets
-        L, jitter = cholesky_with_jitter(2.0 * np.eye(2))
-        assert jitter == 0.0
-        assert np.allclose(L, math.sqrt(2.0) * np.eye(2))
-
-    def test_jitter_retry(self):
-        L, jitter = cholesky_with_jitter(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        assert jitter > 0.0
-        assert np.isfinite(L).all()
+        L = incomplete_cholesky(SparseSymMatrix.identity(SparsityPattern(2, 1)), 2.0)
+        assert np.allclose(L.to_dense(), math.sqrt(2.0) * np.eye(2))
 
 
 class TestScalarKalmanOracle:
@@ -285,6 +279,22 @@ class TestGammaRepair:
         assert out.diagnostics.gamma == 0.0
         assert out.diagnostics.repair_factorizations == 1
 
+    def test_warm_unrepaired_cycle_makes_two_band_factorizations(self, monkeypatch):
+        # with the factor carried from the cycle before, an unrepaired n = 640
+        # cycle reduces two bands: the gain's M, and the leading block of the
+        # next sigma-point factor, which is also the repair's certificate
+        model, obs_op, pattern, state, x0, rng = lorenz_setup(n=640, seed=35)
+        params = UkfParams(pattern=pattern)
+        for _ in range(4):
+            y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+            state = sparse_ukf_cycle(state, y, model, obs_op, params)
+        calls = call_counter(monkeypatch, sparse_core.CyclicReduction, "__init__")
+        out = sparse_ukf_cycle(state, obs_op.observe(x0) + rng.standard_normal(obs_op.m),
+                               model, obs_op, params)
+        assert out.diagnostics.gamma == 0.0 and out.diagnostics.repair_factorizations == 1
+        assert len(calls) == 2
+
+
     def test_certificate_rejects_non_finite_covariance(self):
         E = SparseSymMatrix.identity(SparsityPattern(256, 3))
         E.band[9, 3] = np.nan
@@ -305,6 +315,41 @@ class TestGammaRepair:
             state = progressive_ekf_cycle(state, y, model, obs_op, params)
         D = state.Pa.to_dense()
         assert np.array_equal(D, D.T)
+
+
+class TestCarriedFactor:
+    """The sparse UKF's repair leaves the next cycle's sigma-point factor in
+    ``FilterState.factor``: bit for bit the factor a cycle makes of ``Pa``
+    when there is none."""
+
+    @pytest.mark.parametrize("n,steps", [(40, 30), (640, 20)])
+    def test_factor_is_that_of_the_analysis_covariance(self, monkeypatch, n, steps):
+        # obs_interval 2 alternates analysis and forecast-only cycles; at
+        # master seed 0 both kinds come repaired and unrepaired. n = 40 takes
+        # the dense factor, n = 640 the structured one.
+        real, kinds = harness.sparse_ukf_cycle, set()
+
+        def checked(state, y, model, obs_op, params):
+            out = real(state, y, model, obs_op, params)
+            fresh = incomplete_cholesky(out.Pa, n + params.kappa)
+            assert np.array_equal(out.factor.values, fresh.values)
+            if state.factor is not None:  # the same cycle, factoring Pa itself
+                again = real(dataclasses.replace(state, factor=None), y, model, obs_op, params)
+                assert np.array_equal(again.xa, out.xa)
+                assert np.array_equal(again.Pa.band, out.Pa.band)
+            kinds.add((y is None, out.diagnostics.gamma > 0.0))
+            return out
+
+        monkeypatch.setattr(harness, "sparse_ukf_cycle", checked)
+        config = harness.ExperimentConfig(n=n, n_steps=steps, obs_interval=2, n_replicates=1)
+        assert not harness.run_replicate(config.validate(), 0).failed
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_progressive_ekf_carries_no_factor(self):
+        model, obs_op, pattern, state, x0, rng = lorenz_setup(n=640, seed=36)
+        y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+        out = progressive_ekf_cycle(state, y, model, obs_op, ProgressiveParams(pattern))
+        assert out.factor is None
 
 
 class TestDegeneration:
@@ -426,7 +471,7 @@ class TestDensePathOracle:
         params = UkfParams(pattern=pattern)
         for _ in range(3):
             state = sparse_ukf_cycle(state, None, model, obs_op, params)
-        factor, _ = incomplete_cholesky(state.Pa, n)
+        factor = incomplete_cholesky(state.Pa, n)
         D = factor.to_dense()
         sigma = np.concatenate([state.xa + D.T, state.xa - D.T])
         cols = np.concatenate([pattern.offset_columns, pattern.offset_columns])
@@ -495,8 +540,8 @@ def recorded_repairs():
     recorded = []
     real = filters._gamma_repair
 
-    def record(E, start=None):
-        out = real(E, start)
+    def record(E, start=None, scale=None):
+        out = real(E, start, scale)
         recorded.append((E, out[:3]))  # (Pa, gamma, factorizations)
         return out
 
@@ -541,9 +586,9 @@ class TestRepairOnRecordedCovariances:
         # certificate would fail, so the warm repair makes one factorization
         # fewer and gives the same gamma
         E = next(E for E, (_, gamma, _) in recorded_repairs if gamma > 0.0)
-        _, gamma, cold, bound, vector = filters._gamma_repair(E)
+        _, gamma, cold, bound, vector, _ = filters._gamma_repair(E)
         calls = call_counter(monkeypatch, filters, "CyclicReduction")
-        _, warm_gamma, warm, warm_bound, _ = filters._gamma_repair(E, vector)
+        _, warm_gamma, warm, warm_bound, _, _ = filters._gamma_repair(E, vector)
         assert not calls and not bound and not warm_bound
         assert warm == min_eigenvalue(E, vector)[1] < cold
         assert abs(warm_gamma - gamma) <= 1e-12 * np.abs(E.band).max()
@@ -566,7 +611,7 @@ class TestRepairFromABound:
         monkeypatch.setattr(sparse_core, "EIGEN_FACTORIZATIONS", 2)
         tracemalloc.start()
         try:
-            out = filters._analysis(np.zeros(n), E, 0.0, 0, None)
+            out = filters._analysis(np.zeros(n), E, 0, None, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

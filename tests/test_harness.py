@@ -216,14 +216,28 @@ class TestRunReplicate:
         assert r.error == "MemoryError at cycle 3: Unable to allocate 512. GiB"
 
     def test_overflow_is_reported_without_numpy_warnings(self):
-        # p0 = 1000 overflows the forecast; the dense gain's Cholesky factor
-        # rejects the non-finite Pyy, and no RuntimeWarning escapes the loop
+        # p0 = 1000 blows up the forecast: the first repaired covariance
+        # (max|E| far above 1 / GAMMA_MARGIN) does not factor for the next
+        # sigma points, nothing retries, and no RuntimeWarning escapes the loop
         config = ExperimentConfig(p0=1000.0, n_replicates=1, n_steps=20).validate()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r = run_replicate(config, 0)
-        assert r.failed and r.error == ("FactorizationError at cycle 3: "
-                                        "cannot factor a matrix with non-finite entries")
+        assert r.failed and r.error == ("FactorizationError at cycle 1: "
+                                        "40 * P is not positive definite")
+
+    def test_indefinite_dense_ukf_covariance_is_a_failed_replicate(self, capsys):
+        # the centre weight kappa / (n + kappa) = -79 makes the dense UKF's
+        # covariance indefinite; it has no repair, so the next sigma points'
+        # factor fails the replicate, and `run` says so in one line
+        config = ExperimentConfig(filter="dense_ukf", kappa=-39.5, n_steps=100).validate()
+        r = run_replicate(config, 0)
+        assert r.failed and math.isnan(r.rmse)
+        assert r.error == "FactorizationError at cycle 27: 0.5 * Pa is not positive definite"
+        argv = ["run", "--filter", "dense_ukf", "--kappa", "-39.5", "--n-steps", "100"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"replicate 0 FAILED: {r.error}\n" and captured.out == ""
 
 
 class TestNoHiddenState:
@@ -324,11 +338,11 @@ class TestRunExperiment:
     def test_failed_replicates_excluded_but_counted(self):
         cfg = tiny_config(n_replicates=4)
         results = [
-            ReplicateResult(0, 0.5, 600.0, 1, 0),
-            ReplicateResult(1, float("nan"), float("nan"), 0, 0, failed=True,
+            ReplicateResult(0, 0.5, 600.0, 1),
+            ReplicateResult(1, float("nan"), float("nan"), 0, failed=True,
                             error="FactorizationError: test"),
-            ReplicateResult(2, 0.7, 600.0, 2, 0),
-            ReplicateResult(3, 0.6, 600.0, 0, 0),
+            ReplicateResult(2, 0.7, 600.0, 2),
+            ReplicateResult(3, 0.6, 600.0, 0),
         ]
         s = aggregate_results(cfg, results)
         assert s.n_failed == 1
@@ -338,7 +352,7 @@ class TestRunExperiment:
     def test_all_failed(self):
         cfg = tiny_config(n_replicates=2)
         results = [
-            ReplicateResult(i, float("nan"), float("nan"), 0, 0, failed=True, error="x")
+            ReplicateResult(i, float("nan"), float("nan"), 0, failed=True, error="x")
             for i in range(2)
         ]
         s = aggregate_results(cfg, results)
@@ -432,17 +446,16 @@ class TestCsv:
         # 6 significant digits
         assert len(rows[0]["rmse"].replace(".", "").replace("-", "").lstrip("0")) <= 6
 
-    def test_runs_csv_writes_jitter_activations(self, tmp_path):
+    def test_runs_csv_writes_gamma_activations(self, tmp_path):
         cfg = tiny_config(n_replicates=2)
-        s = aggregate_results(cfg, [ReplicateResult(0, 0.5, 600.0, 3, 4),
-                                    ReplicateResult(1, 0.6, 600.0, 0, 0)])
+        s = aggregate_results(cfg, [ReplicateResult(0, 0.5, 600.0, 3),
+                                    ReplicateResult(1, 0.6, 600.0, 0)])
         path = tmp_path / "runs.csv"
         write_runs_csv(s, path)
         with open(path) as f:
             rows = list(csv.DictReader(f))
-        assert RUNS_CSV_HEADER.endswith(",gamma_activations,jitter_activations")
-        assert [(r["gamma_activations"], r["jitter_activations"]) for r in rows] == \
-            [("3", "4"), ("0", "0")]
+        assert RUNS_CSV_HEADER.endswith(",eval_per_cycle,gamma_activations")
+        assert [r["gamma_activations"] for r in rows] == ["3", "0"]
 
     def test_summary_csv(self, tmp_path):
         cfg = tiny_config(n_replicates=3)

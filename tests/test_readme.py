@@ -1,11 +1,12 @@
-"""The README's library quick start runs against the package as it is, and
-its configuration table names every configuration key."""
+"""The README's library quick start runs against the package as it is, its
+configuration table names every configuration key, and its CSV schemas are
+the ones the harness writes."""
 
 import dataclasses
 import os
 import re
 
-from sparsekf.harness import ExperimentConfig
+from sparsekf.harness import RUNS_CSV_HEADER, SUMMARY_CSV_HEADER, ExperimentConfig
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -28,3 +29,11 @@ def test_config_table_names_every_experiment_config_field():
     named = {key for row in table.splitlines() if row.startswith("| `")
              for key in re.findall(r"`(\w+)`", row.split("|")[1])}
     assert named == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def test_csv_schemas_are_the_headers_the_harness_writes():
+    with open(README) as f:
+        block = f.read().split("Output CSV schemas", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    schemas = {line.split("#")[1].strip(): line.split("#")[0].strip()
+               for line in block.splitlines()}
+    assert schemas == {"runs": RUNS_CSV_HEADER, "summary": SUMMARY_CSV_HEADER}

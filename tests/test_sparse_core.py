@@ -15,7 +15,6 @@ from sparsekf.sparse_core import (
     SparseSymMatrix,
     SparsityPattern,
     band_gain,
-    cholesky_with_jitter,
     cyclic_band_cholesky,
     gain_layout,
     incomplete_cholesky,
@@ -116,7 +115,6 @@ class TestSparseSymMatrix:
         p = SparsityPattern(8, 1)
         A = SparseSymMatrix.identity(p, 2.0)
         B = SparseSymMatrix.identity(p, 0.5)
-        assert np.allclose((A + B).to_dense(), 2.5 * np.eye(8))
         assert np.allclose((A - B).to_dense(), 1.5 * np.eye(8))
         assert np.allclose(A.add_scaled_identity(1.0).to_dense(), 3.0 * np.eye(8))
 
@@ -124,7 +122,7 @@ class TestSparseSymMatrix:
         A = SparseSymMatrix.identity(SparsityPattern(8, 1))
         B = SparseSymMatrix.identity(SparsityPattern(8, 2))
         with pytest.raises(ValueError):
-            A + B
+            A - B
 
     def test_even_full_pattern_antipode_consistency(self):
         # n even with h = n/2: the antipodal diagonal is stored twice; both
@@ -311,21 +309,19 @@ class TestIncompleteCholesky:
     def test_identity_factors_to_identity(self):
         for n, h in [(5, 1), (8, 0), (12, 4), (6, 3)]:
             p = SparsityPattern(n, h)
-            L, jitter = incomplete_cholesky(SparseSymMatrix.identity(p), 1.0)
-            assert jitter == 0.0
+            L = incomplete_cholesky(SparseSymMatrix.identity(p), 1.0)
             assert np.array_equal(L.to_dense(), np.eye(n))
 
     def test_two_by_two_exact(self):
         p = SparsityPattern(2, 1)
         P = SparseSymMatrix.from_dense(np.array([[4.0, 2.0], [2.0, 5.0]]), p)
-        L, jitter = incomplete_cholesky(P, 1.0)
-        assert jitter == 0.0
+        L = incomplete_cholesky(P, 1.0)
         assert np.array_equal(L.to_dense(), np.array([[2.0, 0.0], [1.0, 2.0]]))
 
     def test_scale_enters_factor(self):
         p = SparsityPattern(2, 1)
         P = SparseSymMatrix.identity(p)
-        L, _ = incomplete_cholesky(P, 9.0)
+        L = incomplete_cholesky(P, 9.0)
         assert np.allclose(L.to_dense(), 3.0 * np.eye(2))
 
     def test_tridiagonal_matches_dense_cholesky(self):
@@ -339,8 +335,7 @@ class TestIncompleteCholesky:
         A[np.arange(1, n), np.arange(n - 1)] = off
         A += np.diag(2.0 + rng.uniform(0, 1, n))
         p = SparsityPattern(n, 1)
-        L, jitter = incomplete_cholesky(SparseSymMatrix.from_dense(A, p), 1.0)
-        assert jitter == 0.0
+        L = incomplete_cholesky(SparseSymMatrix.from_dense(A, p), 1.0)
         assert np.abs(L.to_dense() - np.linalg.cholesky(A)).max() <= 1e-10
 
     @pytest.mark.parametrize("n,h", [(8, 1), (13, 2), (20, 3)])
@@ -351,8 +346,7 @@ class TestIncompleteCholesky:
         A = np.where(band, 0.5 * (A + A.T), 0.0)
         A += np.diag(np.abs(A).sum(axis=1) + 1.0)  # diagonally dominant -> SPD
         p = SparsityPattern(n, h)
-        L, jitter = incomplete_cholesky(SparseSymMatrix.from_dense(A, p), 1.0)
-        assert jitter == 0.0
+        L = incomplete_cholesky(SparseSymMatrix.from_dense(A, p), 1.0)
         assert np.abs(L.to_dense() - np.linalg.cholesky(A)).max() <= 1e-10
 
     def test_factor_reproduces_matrix_on_noncyclic_band(self):
@@ -364,7 +358,7 @@ class TestIncompleteCholesky:
         A += np.diag(np.abs(A).sum(axis=1) + 1.0)
         scale = 3.0
         p = SparsityPattern(n, h)
-        L, _ = incomplete_cholesky(SparseSymMatrix.from_dense(A, p), scale)
+        L = incomplete_cholesky(SparseSymMatrix.from_dense(A, p), scale)
         Ld = L.to_dense()
         R = Ld @ Ld.T
         assert np.abs((R - scale * A)[band]).max() <= 1e-12 * scale * np.abs(A).max() * n
@@ -374,17 +368,9 @@ class TestIncompleteCholesky:
         rng = np.random.default_rng(n)
         A = random_spd(rng, n)
         p = SparsityPattern(n, n // 2)
-        L, jitter = incomplete_cholesky(SparseSymMatrix.from_dense(A, p), 1.0)
-        assert jitter == 0.0
+        L = incomplete_cholesky(SparseSymMatrix.from_dense(A, p), 1.0)
         rel = np.abs(L.to_dense() - np.linalg.cholesky(A)).max() / np.abs(A).max()
         assert rel <= 1e-10
-
-    def test_jitter_recovers_singular_matrix(self):
-        p = SparsityPattern(2, 1)
-        P = SparseSymMatrix.from_dense(np.array([[1.0, 1.0], [1.0, 1.0]]), p)
-        L, jitter = incomplete_cholesky(P, 1.0)
-        assert jitter > 0.0
-        assert np.isfinite(L.to_dense()).all()
 
     def test_unrecoverable_raises(self):
         p = SparsityPattern(2, 1)
@@ -401,7 +387,7 @@ class TestIncompleteCholesky:
         rng = np.random.default_rng(21)
         p = SparsityPattern(10, 2)
         P = SparseSymMatrix.from_dense(random_spd(rng, 10), p)
-        L, _ = incomplete_cholesky(P, 1.0)
+        L = incomplete_cholesky(P, 1.0)
         mask = dense_mask(p)
         D = L.to_dense()
         assert np.array_equal(D[~mask], np.zeros(np.count_nonzero(~mask)))
@@ -836,34 +822,28 @@ class TestIncompleteCholeskyPaths:
     def test_structured_path_matches_dense_restriction(self, n, h):
         rng = np.random.default_rng(5 * n + h)
         P = random_band_spd(rng, n, h)
-        L, jitter = incomplete_cholesky(P, 7.0)
-        assert jitter == 0.0
+        L = incomplete_cholesky(P, 7.0)
         A = 7.0 * P.to_dense()
         expected = np.where(dense_mask(P.pattern), np.linalg.cholesky(A), 0.0)
         assert np.abs(L.to_dense() - expected).max() <= 1e-12 * np.abs(A).max()
 
-    def test_structured_path_keeps_the_jitter_schedule(self):
-        # cyclic second difference: singular, so jitter 0 fails and 1e-10 factors
-        n = 256
+    @pytest.mark.parametrize("n", [40, 256])
+    def test_singular_band_raises(self, n):
+        # the cyclic second difference is singular (its null vector is the
+        # constant); shifted by -1e-12 it is indefinite, and no retry shifts
+        # it back
         band = np.zeros((n, 2))
         band[:, 0], band[:, 1] = 2.0, -1.0
-        P = SparseSymMatrix(SparsityPattern(n, 1), band)
-        L, jitter = incomplete_cholesky(P.add_scaled_identity(-1e-12), 1.0)
-        assert jitter == 1e-10
-        A = P.to_dense() + (1e-10 - 1e-12) * np.eye(n)
-        expected = np.where(dense_mask(P.pattern), np.linalg.cholesky(A), 0.0)
-        assert np.abs(L.to_dense() - expected).max() <= 1e-6
+        P = SparseSymMatrix(SparsityPattern(n, 1), band).add_scaled_identity(-1e-12)
+        with pytest.raises(FactorizationError, match="not positive definite"):
+            incomplete_cholesky(P, 1.0)
 
     @pytest.mark.parametrize("n,h", [(40, 3), (256, 3)])
     def test_non_finite_input_raises(self, n, h):
         P = SparseSymMatrix.identity(SparsityPattern(n, h))
         P.band[5, 1] = np.inf
-        with pytest.raises(FactorizationError):
+        with pytest.raises(FactorizationError, match="non-finite"):
             incomplete_cholesky(P, 1.0)
-
-    def test_jitter_helper_rejects_non_finite_input(self):
-        with pytest.raises(FactorizationError):
-            cholesky_with_jitter(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 class TestCertifiedMinEigenvalue:
