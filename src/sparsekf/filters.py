@@ -87,10 +87,10 @@ class FilterState:
     the dense UKF. ``eigenvector`` is the unit Ritz vector of the last
     lambda_min the gamma repair computed on the structured path, the warm
     start of the next one; it is None until then. ``factor`` is the sparse
-    UKF's SparseColumns factor of ``(n + kappa) Pa``, which its gamma repair
-    leaves for the next cycle's sigma points; it is None for the other
-    filters and for a state built by hand, whose next cycle factors ``Pa``
-    itself.
+    UKF's SparseColumns factor of ``(n + kappa) Pa`` (``incomplete_cholesky``,
+    a sequential block Cholesky at every n), which its gamma repair leaves
+    for the next cycle's sigma points; it is None for the other filters and
+    for a state built by hand, whose next cycle factors ``Pa`` itself.
     """
 
     xa: np.ndarray
@@ -199,8 +199,9 @@ def _gamma_repair(E, start=None, scale=None):
     (None for the progressive EKF, which passes no scale). On the structured
     path (``uses_structured_path``) one factorization first tries to certify
     E positive definite, so that gamma is 0 without an eigenvalue: with a
-    scale, that factor of E itself; without one, a CyclicReduction of ``E -
-    tau I``, tau = PD_FLOOR * max|E|. It is skipped when the Rayleigh
+    scale, that factor of E itself, whose sweep stops at its first step
+    that does not factor; without one, a CyclicReduction of ``E - tau I``,
+    tau = PD_FLOOR * max|E|. It is skipped when the Rayleigh
     quotient of ``start`` (the previous repair's vector) already lies below
     -tau, since then it must fail. ``start`` also warm-starts
     ``min_eigenvalue``. Otherwise gamma comes from lambda_min, and with a

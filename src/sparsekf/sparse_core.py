@@ -14,19 +14,18 @@ Contents:
   - restricted_outer_accumulate / restricted_product: pattern-limited products
   - local_outer_sum: the sum of outer products of column-local vectors, a
     band of twice the half bandwidth
-  - uses_structured_path: decides from (n, h) when a band factor replaces
-    the dense one
-  - CyclicReduction: the one band factorization, odd-even block cyclic
-    reduction in O(log n) batched levels, with solves and the selected
-    inverse (the blocks of its inverse on the cyclic block-tridiagonal
-    pattern); it serves the progressive EKF's repair certificate,
-    min_eigenvalue, band_gain and the natural-order factor
-  - cyclic_band_cholesky: the pattern columns of the natural-order factor
-    of a cyclic band, one window solve per column against the selected
-    inverse of its leading block, plus a border of h to h + b - 1 rows
-  - incomplete_cholesky: pattern-restricted factorization, no retry; its
-    columns are the sigma points, and the sparse UKF's gamma repair makes
-    it once per cycle, as the certificate or after the repair
+  - uses_structured_path: decides from (n, h) when a CyclicReduction
+    replaces the dense matrix in min_eigenvalue, the repair's certificate
+    and the gain
+  - CyclicReduction: odd-even block cyclic reduction in O(log n) batched
+    levels, with solves and the selected inverse (the blocks of its inverse
+    on the cyclic block-tridiagonal pattern); it serves the progressive
+    EKF's repair certificate, min_eigenvalue and band_gain
+  - incomplete_cholesky: the pattern columns of the natural-order factor,
+    a sequential block Cholesky that carries the h wrap rows from step to
+    step, at every ring size, no retry; its columns are the sigma points,
+    and the sparse UKF's gamma repair makes it once per cycle, as the
+    certificate or after the repair
   - min_eigenvalue: smallest eigenvalue of the represented symmetric matrix,
     certified by shifted factorizations on the structured path, where a
     Ritz vector from an earlier call can warm-start it
@@ -370,11 +369,12 @@ def _sum_layout(n, h):
 
 
 # ---------------------------------------------------------------------------
-# Cholesky factorization: a dense and a structured kernel
+# Dense or structured: the size rule of the CyclicReduction users
 
-# The dense/structured crossover: a band is factored on its band when n is
-# at least MIN_BLOCKS * max(BLOCK_ROWS, h); below that, one dense LAPACK call
-# is as fast. The two constants set nothing else.
+# The dense/structured crossover: min_eigenvalue, the progressive EKF's
+# repair certificate and the gain use CyclicReduction when n is at least
+# MIN_BLOCKS * max(BLOCK_ROWS, h); below that, dense LAPACK calls are as
+# fast. The two constants set nothing else.
 BLOCK_ROWS = 32
 MIN_BLOCKS = 8
 
@@ -396,9 +396,10 @@ def _dense_cholesky(A):
 
 
 def uses_structured_path(n, h):
-    """True when an (n, h) cyclic band is factored on its band
-    (CyclicReduction, and cyclic_band_cholesky built on it) rather than
-    through the dense n x n matrix."""
+    """True when the CyclicReduction users, ``min_eigenvalue``, the gamma
+    repair's certificate and ``gain_layout``, work on an (n, h) cyclic band
+    rather than through the dense n x n matrix. ``incomplete_cholesky`` is
+    one kernel at every size and does not ask."""
     return n >= MIN_BLOCKS * max(BLOCK_ROWS, h)
 
 
@@ -409,14 +410,9 @@ def _band_index(n, h, i, j):
     return np.where(d <= h, i * (h + 1) + d, np.where(e <= h, j * (h + 1) + e, n * (h + 1)))
 
 
-def _take(A, index):
-    """Entries of the SparseSymMatrix A at ``_band_index`` flat indices."""
-    return np.append(A.band.ravel(), 0.0)[index]
-
-
 # ---------------------------------------------------------------------------
-# Block cyclic reduction: a factor in odd-even order, the one band
-# factorization; the natural-order factor is read from its selected inverse
+# Block cyclic reduction: a factor in odd-even order, its solves and its
+# selected inverse
 
 # Blocks of the reduction have at least REDUCTION_ROWS rows (and at least h);
 # once a level has at most BASE_ROWS rows (and always at two blocks) the rest
@@ -424,9 +420,9 @@ def _take(A, index):
 # factorization, the solve and the selected inverse at n = 640, 2560 and
 # 10240. BASE_ROWS was chosen by timing the reduction as its callers run it:
 # a factorization, the inverse of its base (cubic in the base's rows), then
-# one selected inverse (the gain, the sigma points) or about 13 solves (a
-# Lanczos run of the repair), at (n, h) = (640, 3), (2560, 3), (10240, 3) and
-# (960, 20).
+# one selected inverse (the gain; then also the sigma points) or about 13
+# solves (a Lanczos run of the repair), at (n, h) = (640, 3), (2560, 3),
+# (10240, 3) and (960, 20).
 REDUCTION_ROWS = 4
 BASE_ROWS = 64
 
@@ -628,140 +624,135 @@ class CyclicReduction:
         return diag, sub
 
 
+# ---------------------------------------------------------------------------
+# The natural-order factor: a sequential block Cholesky that carries the wrap
+
+# Columns factored per step of incomplete_cholesky, chosen by timing the
+# factor at (n, h) = (640, 3), (2560, 3), (10240, 3) and (960, 20): 48 and 64
+# tie at h = 3, 64 is faster at h = 20, and 32 or 96 rows are up to a
+# quarter slower, 128 up to 2.5 times.
+FACTOR_ROWS = 64
+
+
 @lru_cache(maxsize=16)
-def _factor_layout(n, h):
-    """The split and the indices of ``cyclic_band_cholesky`` on (n, h).
+def _sweep_layout(n, h):
+    """What (n, h) fixes of ``incomplete_cholesky``'s sweep, B = FACTOR_ROWS
+    and m = n - h.
 
-    The leading m = n - border rows, border = h + (n - h) mod b and b =
-    ``_block_size(h)``, are a whole number of reduction blocks and do
-    not reach the wrap, so they form a plain band. The border rows meet them
-    only in their first and last h columns, so the border's part of the
-    factor lives in the columns ``cols``: those 2h and the border's own.
-    Returns the pattern of the leading block, ``SparsityPattern(m, h)``, and
+    A step at row s factors rows s .. s + cols + h - 1 and the h wrap rows
+    m .. n-1; the first cols columns of its factor are the factor's columns
+    s .. s + cols - 1. The ``steps`` regular steps (s = 0, B, ...) take cols
+    = B and end more than h rows before m, so their rows meet the wrap rows
+    only in the carry. The last step takes every row from s on.
 
-    - ``windows`` (m, h+1, h+1): entry [j, a, c] is Z[j + h - a, j + h - c]
-      of the leading block's inverse Z, the window of column j reversed, in
-      the selected inverse with a 0 and a 1 appended (rows past m read the
-      identity, the entries that cross m read 0);
-    - ``corner`` (2h, 2h): Z at the first and the last h leading rows;
-    - ``coupling`` (border, 2h + border): A[m:, cols] in the band (``_take``);
-    - ``gather`` (n, nsp): the pattern columns of the factor in offset order
-      in the leading columns' bands (m, h+1) and the border rows (border,
-      cols), concatenated with a zero;
-    - ``wrap``: the flat slots (row, d) of the leading rows' band that cross
-      m, the wrap of P, which the plain band of the leading block reads as 0.
+    A step's layout is (``template``, ``carried``, ``out``, cols).
+    ``template`` holds the flat indices of its submatrix, lower triangle,
+    in the band with a zero column, (n, h+2), from row s on: the same at
+    every regular s. ``carried`` holds the flat positions of its first h
+    and last h rows, and ``out`` the flat indices in its factor of the
+    (cols, nsp) pattern entries of its columns (an entry above the
+    diagonal, 0, for those above the diagonal or past row n). The wrap rows
+    enter ``out`` only for columns below h, so the regular steps with s < h
+    have layouts of their own. Returns ``steps``, those layouts (``head``),
+    the other regular steps' (``body``), the last step's, and ``first``:
+    the flat indices of the band's entries on the carried rows of the
+    first step, its carry.
     """
-    b = _block_size(h)
-    border = h + (n - h) % b
-    m = n - border
-    end = 2 * m * b  # the appended 0 (blocks of exactly b rows); the 1 follows it
-    t, e = np.arange(m + h)[:, None], np.arange(h + 1)
-    band = np.where(t + e < m, _inverse_index(m, b, t, t + e), end + ((t >= m) & (e == 0)))
-    a = np.arange(h + 1)
-    windows = band[np.arange(m)[:, None, None] + h - np.maximum(a[:, None], a),
-                   np.abs(a[:, None] - a)]
-    lead = np.concatenate([np.arange(h), np.arange(m - h, m)])
-    cols = np.concatenate([lead, np.arange(m, n)])
-    j = np.arange(n)[:, None]
-    r = (j + SparsityPattern(n, h).offsets) % n  # factor rows, upper ones (r < j) read 0
-    border_slot = m * (h + 1) + (r - m) * cols.size + np.where(j < h, j, j - m + 2 * h)
-    gather = np.where(r < j, m * (h + 1) + border * cols.size,
-                      np.where(r < m, j * (h + 1) + r - j, border_slot))
-    wrap = np.flatnonzero(np.arange(m)[:, None] + e >= m)
-    return SparsityPattern(m, h), tuple(_read_only(x) for x in (
-        windows, _inverse_index(m, b, lead[:, None], lead),
-        _band_index(n, h, np.arange(m, n)[:, None], cols), gather, wrap))
+    B, m = FACTOR_ROWS, n - h
+    steps = max(0, (m - 2 * h - 1) // B)
+    offsets = SparsityPattern(n, h).offsets
+
+    def submatrix(size, cols):
+        a, b = np.arange(size)[:, None], np.arange(size)
+        d = a - b
+        # entries across the wrap, read by a last step at s = 0 (elsewhere carried)
+        wrap = np.where((d > h) & (n - d <= h), a * (h + 2) + n - d, b * (h + 2) + h + 1)
+        return np.where((d >= 0) & (d <= h) & (a < cols + h), b * (h + 2) + d, wrap)
+
+    def layout(s, size, cols, template):  # template: submatrix(size, cols)
+        r = np.concatenate([np.arange(h), np.arange(size - h, size)])
+        b = np.arange(cols)[:, None]
+        t = b + offsets  # the rows of columns s + b, counted from row s
+        out = np.where(t >= size, 1, np.where(t >= 0, t * size + b,
+                                              np.where(s + t < 0, (size + s + t) * size + b, 1)))
+        return tuple(_read_only(x) for x in (template, r[:, None] * size + r, out)) + (cols,)
+
+    regular = submatrix(B + 2 * h, B)
+    head = tuple(layout(s, B + 2 * h, B, regular) for s in range(0, min(steps * B, h), B))
+    size = n - steps * B
+    r = np.concatenate([np.arange(h), np.arange(m, n)])[:, None]
+    c = r.T
+    e, f = (r - c) % n, (c - r) % n
+    first = np.where(e <= h, c * (h + 2) + e,
+                     np.where(f <= h, r * (h + 2) + f, r * (h + 2) + h + 1))
+    return steps, head, layout(h, B + 2 * h, B, regular), \
+        layout(steps * B, size, size, submatrix(size, size)), _read_only(first)
 
 
-def _lower(band, start, h):
-    """The h x h lower-triangular block of the leading factor at rows and
-    columns start .. start + h - 1, from its column bands."""
-    i, k = np.arange(h)[:, None], np.arange(h)
-    return np.where(i >= k, band[start + k, np.maximum(i - k, 0)], 0.0)
-
-
-def cyclic_band_cholesky(P, scale=1.0, shift=0.0):
-    """Pattern columns of the lower Cholesky factor of ``scale * P + shift *
-    I`` in natural order, for P on a cyclic band, built without an n x n
-    array.
-
-    The leading block A11 (``_factor_layout``) is a plain band, so its
-    factor L11 has no fill and column j lives on the window s = j .. j + h.
-    With Z = A11^-1, Z L11 = L11^-T is upper triangular, so Z[s, s] L11[s,
-    j] = e_0 / L11[j, j]: each column is one small solve against the
-    selected inverse of one CyclicReduction (Takahashi, Fagan & Chin 1973).
-    The windows are factored reversed in one batched Cholesky, R R^T, which
-    leaves L11[s, j] reversed as R^-T e_h, h substitution steps. The border
-    rows follow from the corner of Z: L21 = A21 L11^-T is a triangular solve
-    on the first h columns and (A21 Z) L11 on the last h, and L22 = chol(A22
-    - A21 Z A12). O(n h^2) work in O(log n) batched levels.
-
-    A matrix that is not positive definite raises ``np.linalg.LinAlgError``
-    (from the reduction, a window or L22); non-finite input raises
-    FactorizationError. The rounding error grows with the condition number
-    of A11: up to 7.0e-9 max|A| at a smallest eigenvalue of 1e-8 in the
-    tests, against 1e-15 max|A| for well-conditioned bands.
-    """
-    n, h = P.pattern.n, P.pattern.half_bandwidth
-    _check_finite(P.band)
-    leading, (windows, corner, coupling, gather, wrap) = _factor_layout(n, h)
-    m = leading.n
-    lead = P.band[:m].copy()
-    np.put(lead, wrap, 0.0)
-    diag, sub = CyclicReduction(SparseSymMatrix(leading, lead), scale, shift).selected_inverse()
-    Z = np.concatenate([diag.ravel(), sub.ravel(), [0.0, 1.0]])
-    R = np.linalg.cholesky(Z[windows])
-    y = np.zeros((m, h + 1))  # R^T y = e_h
-    y[:, h] = 1.0 / R[:, h, h]
-    for k in range(h - 1, -1, -1):
-        y[:, k] = -np.einsum("jl,jl->j", R[:, k + 1:, k], y[:, k + 1:]) / R[:, k, k]
-    band = y[:, ::-1]  # band[j, d] = L11[j + d, j]
-    A = scale * _take(P, coupling)
-    A[:, 2 * h:] += shift * np.eye(n - m)
-    A21, Zc = A[:, :2 * h], Z[corner]
-    first = A21[:, :h].copy()  # A21[:, :h] L11[:h, :h]^-T
-    top = _lower(band, 0, h)
-    for k in range(h):
-        first[:, k] = (first[:, k] - first[:, :k] @ top[k, :k]) / top[k, k]
-    last = A21 @ Zc[:, h:] @ _lower(band, m - h, h)
-    L22 = np.linalg.cholesky(A[:, 2 * h:] - A21 @ Zc @ A21.T)
-    border = np.concatenate([first, last, L22], axis=1)  # rows m.., columns as in cols
-    values = np.concatenate([band.ravel(), border.ravel(), [0.0]])
-    return SparseColumns(P.pattern, values[gather])
+def _factor_step(rows, layout, carry, values):
+    """One step of ``incomplete_cholesky``'s sweep: writes the pattern
+    entries of its columns to the first rows of ``values`` and returns its
+    factor."""
+    template, carried, out, cols = layout
+    M = np.take(rows, template)
+    M.ravel()[carried] = carry
+    L = np.linalg.cholesky(M)  # reads the lower triangle
+    values[:cols] = L.ravel()[out]
+    return L
 
 
 def incomplete_cholesky(P, scale=1.0):
     """Incomplete Cholesky factor of ``scale * P``, restricted to P's pattern.
 
-    The standard lower Cholesky recurrence runs in natural index order with
-    fill-in allowed (for a cyclic band, fill occurs at the wrap corner); the
-    factor is then restricted to the pattern, discarding the fill. If the
-    exact factor happens to be supported inside the pattern - as for banded
-    matrices without the cyclic wrap, or for a dense pattern - the result is
+    The lower Cholesky factor in natural index order, with its fill (for a
+    cyclic band, the h wrap rows), restricted to the pattern. If the exact
+    factor happens to be supported inside the pattern, as for banded
+    matrices without the cyclic wrap or for a dense pattern, the result is
     the exact factor. Computing through the fill keeps the factorization
     feasible for every positive definite input, which barely-positive
     covariances (fresh out of the gamma repair) do not permit when fill
     contributions are zeroed inside the recurrence.
 
-    Large rings (``uses_structured_path``) are factored by
-    ``cyclic_band_cholesky`` in O(n h^2); the rest through the dense n x n
-    matrix. Returns the factor columns in offset order (the sigma-point
-    perturbation vectors, aligned with ``pattern.offset_columns``) as
-    SparseColumns. A ``scale * P`` that is not positive definite, or has a
-    non-finite entry, raises FactorizationError: the factorization itself is
-    the positive-definiteness test, and nothing is retried.
+    A sequential block Cholesky (Golub & Van Loan, Matrix Computations,
+    4.3) makes it on every ring (``_sweep_layout``). The factor of a cyclic
+    band fills only its last h rows, the wrap. Each step is one
+    ``np.linalg.cholesky`` of the rows of B = FACTOR_ROWS columns, the next
+    h rows and the h wrap rows, whose entries come from the band; on its
+    first h rows and the wrap rows the carry, the Schur complement ``T
+    T^T`` of the trailing factor T of the step before, is written over
+    them. The step's first B columns are the factor's, wrap rows included.
+    No inverse and no n x n array is formed: O(n (B + 2h)^3 / B) work in
+    about n / B steps. A ring of at most B + 3h rows is one step, bit for
+    bit numpy's dense Cholesky of ``scale * P.to_dense()``.
+
+    Returns the factor columns in offset order (the sigma-point perturbation
+    vectors, aligned with ``pattern.offset_columns``) as SparseColumns. A
+    ``scale * P`` that is not positive definite raises FactorizationError at
+    the first step that does not factor, and so does one with a non-finite
+    entry: the factorization itself is the positive-definiteness test, and
+    nothing is retried.
     """
     if scale <= 0.0:
         raise ValueError(f"scale must be positive, got {scale}")
+    _check_finite(P.band)
     pattern = P.pattern
+    n, h = pattern.n, pattern.half_bandwidth
+    steps, head, body, last, first = _sweep_layout(n, h)
+    work = np.zeros((n, h + 2))  # the band and a zero column
+    np.multiply(P.band, scale, out=work[:, :h + 1])
+    values = np.empty((n, pattern.nsp))
+    carry = work.ravel()[first]
     try:
-        if uses_structured_path(pattern.n, pattern.half_bandwidth):
-            return cyclic_band_cholesky(P, scale)
-        A = P.to_dense()
-        A *= scale
-        return SparseColumns.from_dense(_dense_cholesky(A), pattern)
+        for k in range(steps):
+            s = k * FACTOR_ROWS
+            L = _factor_step(work[s:], head[k] if k < len(head) else body, carry, values[s:])
+            T = L[FACTOR_ROWS:, FACTOR_ROWS:]
+            carry = T @ T.T  # the Schur complement on the next step's carried rows
+        s = steps * FACTOR_ROWS
+        _factor_step(work[s:], last, carry, values[s:])
     except np.linalg.LinAlgError:
         raise FactorizationError(f"{scale:g} * P is not positive definite") from None
+    return SparseColumns(pattern, values)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,19 @@ class LinearModel(ComponentModel):
         return np.apply_along_axis(lambda x: self.A @ x, -1, X)
 
 
+def call_counter(monkeypatch, owner, name):
+    """Count the calls of ``owner.name``."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
 def scalar_kf(a, r, q, x0, p0, obs):
     """Closed-form scalar Kalman filter for x(k) = a x(k-1), y = x + noise."""
     xs, ps = [], []

@@ -13,6 +13,7 @@ import sparsekf.harness as harness
 import sparsekf.sparse_core as sparse_core
 from helpers import (
     LinearModel,
+    call_counter,
     dense_gamma_repair,
     dense_kf_cycle,
     dense_path_progressive_ekf_cycle,
@@ -279,10 +280,10 @@ class TestGammaRepair:
         assert out.diagnostics.gamma == 0.0
         assert out.diagnostics.repair_factorizations == 1
 
-    def test_warm_unrepaired_cycle_makes_two_band_factorizations(self, monkeypatch):
+    def test_warm_unrepaired_cycle_reduces_one_band(self, monkeypatch):
         # with the factor carried from the cycle before, an unrepaired n = 640
-        # cycle reduces two bands: the gain's M, and the leading block of the
-        # next sigma-point factor, which is also the repair's certificate
+        # cycle reduces one band, the gain's M; the next sigma-point factor,
+        # which is also the repair's certificate, is a sequential Cholesky
         model, obs_op, pattern, state, x0, rng = lorenz_setup(n=640, seed=35)
         params = UkfParams(pattern=pattern)
         for _ in range(4):
@@ -292,7 +293,7 @@ class TestGammaRepair:
         out = sparse_ukf_cycle(state, obs_op.observe(x0) + rng.standard_normal(obs_op.m),
                                model, obs_op, params)
         assert out.diagnostics.gamma == 0.0 and out.diagnostics.repair_factorizations == 1
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
     def test_certificate_rejects_non_finite_covariance(self):
@@ -350,6 +351,42 @@ class TestCarriedFactor:
         y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
         out = progressive_ekf_cycle(state, y, model, obs_op, ProgressiveParams(pattern))
         assert out.factor is None
+
+
+class TestWorkingSetFollowsTheBand:
+    """One warm cycle of each sparse filter at n = 2560 and 40960 holds a
+    traced peak proportional to the band ``n (h+1) 8`` bytes: the two sizes
+    agree within 5 %, and stay under a fixed multiple. tracemalloc counts
+    bytes, not time, so the host does not move these numbers."""
+
+    # measured peaks per byte of band: the sparse UKF 43.3 at both sizes
+    # (unrepaired), the progressive EKF 31.4 and 31.1 (repaired); its
+    # unrepaired cycles read 23.5 and 21.8, because a constant of about
+    # 150 KB (the 64-row bases of its reductions) is 1.8 bands at n = 2560
+    @pytest.mark.parametrize("cycle,params,repaired,multiple,evaluations", [
+        (sparse_ukf_cycle, UkfParams, False, 45.0, 15),
+        (progressive_ekf_cycle, ProgressiveParams, True, 33.0, 8),
+    ], ids=["sparse_ukf", "progressive_ekf"])
+    def test_peak_per_byte_of_band(self, cycle, params, repaired, multiple, evaluations):
+        ratios = []
+        for n in (2560, 40960):
+            model, obs_op, pattern, state, x0, rng = lorenz_setup(n=n)
+            p = params(pattern=pattern)
+            for _ in range(5):  # caches built, and the progressive EKF repairing
+                state = cycle(state, obs_op.observe(x0) + rng.standard_normal(obs_op.m),
+                              model, obs_op, p)
+            y = obs_op.observe(x0) + rng.standard_normal(obs_op.m)
+            tracemalloc.start()
+            try:
+                state = cycle(state, y, model, obs_op, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (state.diagnostics.gamma > 0.0) == repaired
+            assert state.diagnostics.evaluations == evaluations * n
+            ratios.append(peak / (n * (pattern.half_bandwidth + 1) * 8))
+        assert max(ratios) <= multiple, ratios
+        assert max(ratios) <= 1.05 * min(ratios), ratios
 
 
 class TestDegeneration:
@@ -621,19 +658,6 @@ class TestRepairFromABound:
         sparse_core.CyclicReduction(out.Pa)
         assert peak < n * n, peak  # an eighth of an n x n array (8 n^2 bytes, 50 MiB)
         assert out.eigenvector is None
-
-
-def call_counter(monkeypatch, owner, name):
-    """Count the calls of ``owner.name``."""
-    calls = []
-    real = getattr(owner, name)
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, spy)
-    return calls
 
 
 def forbid(monkeypatch, owner, name):

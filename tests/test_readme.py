@@ -1,11 +1,13 @@
 """The README's library quick start runs against the package as it is, its
-configuration table names every configuration key, and its CSV schemas are
-the ones the harness writes."""
+configuration table names every configuration key, its CSV schemas are the
+ones the harness writes, and the kernel constants it states are the ones
+sparse_core uses."""
 
 import dataclasses
 import os
 import re
 
+from sparsekf import sparse_core
 from sparsekf.harness import RUNS_CSV_HEADER, SUMMARY_CSV_HEADER, ExperimentConfig
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -37,3 +39,16 @@ def test_csv_schemas_are_the_headers_the_harness_writes():
     schemas = {line.split("#")[1].strip(): line.split("#")[0].strip()
                for line in block.splitlines()}
     assert schemas == {"runs": RUNS_CSV_HEADER, "summary": SUMMARY_CSV_HEADER}
+
+
+def test_kernel_constants_are_the_ones_sparse_core_uses():
+    # the factor's rows per step, the reduction's block and base, and the
+    # size rule n >= MIN_BLOCKS * max(BLOCK_ROWS, h)
+    with open(README) as f:
+        text = f.read()
+    stated = re.findall(r"`(FACTOR_ROWS|REDUCTION_ROWS|BASE_ROWS) = (\d+)`", text)
+    assert {name for name, _ in stated} == {"FACTOR_ROWS", "REDUCTION_ROWS", "BASE_ROWS"}
+    for name, value in stated:
+        assert int(value) == getattr(sparse_core, name), name
+    rules = re.findall(r"`n >= (\d+) \* max\((\d+), h\)`", text)
+    assert rules and set(rules) == {(str(sparse_core.MIN_BLOCKS), str(sparse_core.BLOCK_ROWS))}

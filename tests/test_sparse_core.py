@@ -8,6 +8,7 @@ import pytest
 import sparsekf.filters as filters
 import sparsekf.harness as harness
 import sparsekf.sparse_core as sparse_core
+from helpers import call_counter
 from sparsekf.sparse_core import (
     CyclicReduction,
     FactorizationError,
@@ -15,7 +16,6 @@ from sparsekf.sparse_core import (
     SparseSymMatrix,
     SparsityPattern,
     band_gain,
-    cyclic_band_cholesky,
     gain_layout,
     incomplete_cholesky,
     local_outer_sum,
@@ -438,9 +438,8 @@ def random_band_spd(rng, n, h, floor=0.05):
 
 
 # (n, h) on the structured side, h below and above the reduction's 4-row
-# block. cyclic_band_cholesky's border h' = h + (n - h) mod max(h, 4) rows is
-# h + 1 for (256, 3) and (300, 3), h + 2 for (641, 3), h for (256, 32) and
-# h + 13 for (333, 32)
+# block. incomplete_cholesky's sweep makes 2 to 9 regular steps and a last
+# one on them
 STRUCTURED = [(256, 3), (300, 3), (641, 3), (256, 32), (333, 32)]
 
 
@@ -456,13 +455,14 @@ class TestPathSelection:
 
 
 class TestCyclicBandCholesky:
-    """The structured natural-order factor against the pattern restriction of
-    numpy's dense Cholesky, to 1e-12 of max|A|."""
+    """The sequential block Cholesky of incomplete_cholesky against the
+    pattern restriction of numpy's dense Cholesky, to 1e-12 of max|A|."""
 
     def check(self, P, scale=1.0, shift=0.0, tol=1e-12):
-        A = scale * P.to_dense() + shift * np.eye(P.n)
+        P = P.add_scaled_identity(shift / scale)
+        A = scale * P.to_dense()
         expected = np.where(dense_mask(P.pattern), np.linalg.cholesky(A), 0.0)
-        L = cyclic_band_cholesky(P, scale, shift)
+        L = incomplete_cholesky(P, scale)
         assert np.abs(L.to_dense() - expected).max() <= tol * np.abs(A).max()
 
     @pytest.mark.parametrize("n,h", STRUCTURED)
@@ -475,52 +475,105 @@ class TestCyclicBandCholesky:
 
     @pytest.mark.parametrize("n,h", STRUCTURED)
     def test_near_singular_band(self, n, h):
-        # lambda_min = 1e-8, about what the gamma repair leaves; the error
-        # grows with the condition number of the leading block (measured at
-        # most 7.0e-9 max|A| on these cases, 7.4e-9 with a base of 128 rows
-        # and 5.5e-9 with one of 32)
+        # lambda_min = 1e-8, about what the gamma repair leaves: measured at
+        # most 1.6e-9 max|A| from numpy's factor on these cases, and 4.3e-10
+        # from an extended-precision one (numpy's own: 1.2e-9)
         self.check(random_band_spd(np.random.default_rng(3 * n + h), n, h, floor=1e-8),
                    tol=2e-8)
+
+    @pytest.mark.parametrize("n,h", [(40, 3), (40, 5)])
+    def test_small_ring_is_numpy_cholesky(self, n, h):
+        # at most FACTOR_ROWS + 3h rows: one step, bit for bit the dense factor
+        P = random_band_spd(np.random.default_rng(n + h), n, h)
+        expected = SparseColumns.from_dense(np.linalg.cholesky(7.0 * P.to_dense()), P.pattern)
+        assert np.array_equal(incomplete_cholesky(P, 7.0).values, expected.values)
+
+    # n = h + 10 B + r, B = FACTOR_ROWS: m = n - h leaves r rows past whole
+    # steps of B (0, 1, B - 1); r = 7 and 6 at h = 3 give the sweep's
+    # smallest and largest last step (3h + 1 and 3h + B rows). At h >= B the
+    # carry is as wide as a step, and at h = B + 16 the columns below h,
+    # which read the wrap rows at negative offsets, span two steps
+    @pytest.mark.parametrize("h,r", [(3, 0), (3, 1), (3, 6), (3, 7),
+                                     (3, sparse_core.FACTOR_ROWS - 1),
+                                     (sparse_core.FACTOR_ROWS, 0),
+                                     (sparse_core.FACTOR_ROWS + 16, 5)])
+    def test_ragged_last_step(self, h, r):
+        n = h + 10 * sparse_core.FACTOR_ROWS + r
+        self.check(random_band_spd(np.random.default_rng(n), n, h), 3.0, 0.5)
 
     @pytest.mark.parametrize("n,h", STRUCTURED)
     def test_failure_certifies_not_positive_definite(self, n, h):
         rng = np.random.default_rng(4 * n + h)
         P = random_band_spd(rng, n, h, floor=0.0)
-        with pytest.raises(np.linalg.LinAlgError):
-            cyclic_band_cholesky(P, shift=-1e-6)  # smallest eigenvalue -1e-6
-        cyclic_band_cholesky(P, shift=1e-6)
+        with pytest.raises(FactorizationError, match="not positive definite"):
+            incomplete_cholesky(P.add_scaled_identity(-1e-6), 1.0)  # lambda_min -1e-6
+        incomplete_cholesky(P.add_scaled_identity(1e-6), 1.0)
+
+    def test_failure_in_the_first_step_stops_the_sweep(self, monkeypatch):
+        calls = call_counter(monkeypatch, np.linalg, "cholesky")
+        P = SparseSymMatrix.identity(SparsityPattern(640, 3))
+        P.band[5, 0] = -1.0
+        with pytest.raises(FactorizationError, match=r"^3 \* P is not positive definite$"):
+            incomplete_cholesky(P, 3.0)
+        assert len(calls) == 1
+
+    def test_failure_in_the_last_step(self, monkeypatch):
+        # the cyclic second difference less 1e-12 I: its null vector, the
+        # constant, reaches every row, so every step but the last (the one
+        # with every row left) factors
+        n = 640
+        band = np.zeros((n, 2))
+        band[:, 0], band[:, 1] = 2.0, -1.0
+        P = SparseSymMatrix(SparsityPattern(n, 1), band).add_scaled_identity(-1e-12)
+        steps = sparse_core._sweep_layout(n, 1)[0]
+        calls = call_counter(monkeypatch, np.linalg, "cholesky")
+        with pytest.raises(FactorizationError, match=r"^2 \* P is not positive definite$"):
+            incomplete_cholesky(P, 2.0)
+        assert steps >= 2 and len(calls) == steps + 1
 
     def test_non_finite_input_raises(self):
         P = SparseSymMatrix.identity(SparsityPattern(256, 3))
         P.band[100, 2] = np.nan
-        with pytest.raises(FactorizationError):
-            cyclic_band_cholesky(P)
+        with pytest.raises(FactorizationError, match="non-finite"):
+            incomplete_cholesky(P, 1.0)
 
     @pytest.mark.parametrize("n,h", STRUCTURED)
     def test_non_finite_border_raises(self, n, h):
-        # the last row lies in the border, outside the reduction's leading block
+        # the last row is a wrap row, which only the sweep's last step factors
         P = SparseSymMatrix.identity(SparsityPattern(n, h))
         P.band[n - 1, h] = np.nan
-        with pytest.raises(FactorizationError):
-            cyclic_band_cholesky(P)
+        with pytest.raises(FactorizationError, match="non-finite"):
+            incomplete_cholesky(P, 1.0)
 
     def test_memory_is_linear_in_n(self):
-        # cold caches, index arrays included (about 7.8 MiB for a 0.3 MiB band)
+        # cold caches, the pattern's offset_columns included: measured 2.15 MiB
+        # for a 0.31 MiB band (7.8 MiB for the factor read from the selected
+        # inverse); the bound leaves about 15 %
         n, h = 10240, 3
         rng = np.random.default_rng(12)
         band = rng.normal(size=(n, h + 1))
         band[:, 0] = 2.0 * h + 1.0 + rng.uniform(size=n)  # diagonally dominant
         P = SparseSymMatrix(SparsityPattern(n, h), band)
-        for cached in (sparse_core._factor_layout, sparse_core._block_rows,
-                       sparse_core._reduction_layout):
-            cached.cache_clear()
+        sparse_core._sweep_layout.cache_clear()
         tracemalloc.start()
         try:
             incomplete_cholesky(P, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 2**20, peak
+        assert peak <= 2.5 * 2**20, peak
+
+    def test_cached_indices_do_not_grow_with_n(self):
+        # the sweep writes each step's columns straight into its output, so
+        # it caches no (n, nsp) output gather: its index arrays are the same
+        # O(FACTOR_ROWS^2) templates at every n, under four (B + 3h)^2 ones
+        def cached_bytes(x):
+            if isinstance(x, np.ndarray):
+                return x.nbytes
+            return sum(map(cached_bytes, x)) if isinstance(x, tuple) else 0
+
+        small, large = (cached_bytes(sparse_core._sweep_layout(n, 3)) for n in (2560, 40960))
+        assert small == large < 4 * 8 * (sparse_core.FACTOR_ROWS + 9) ** 2, (small, large)
 
 
 def factor_to_dense(F):
@@ -815,8 +868,8 @@ def recorded_gains():
 
 
 class TestIncompleteCholeskyPaths:
-    """The structured path restricts the exact factor to the pattern, as the
-    dense path does; only rounding differs."""
+    """On large rings the sweep restricts the exact factor to the pattern,
+    as the restriction of numpy's dense factor does; only rounding differs."""
 
     @pytest.mark.parametrize("n,h", STRUCTURED)
     def test_structured_path_matches_dense_restriction(self, n, h):
