@@ -44,7 +44,8 @@ from .sparse_core import (
 )
 
 # Margin added on top of |lambda_min| when repairing an indefinite covariance,
-# so the repaired matrix is positive definite rather than merely semidefinite.
+# relative to max |E|, so the repaired matrix is positive definite rather than
+# merely semidefinite at every scale of the covariance.
 GAMMA_MARGIN = 1e-8
 
 # Floor of the positive-definiteness test that lets the repair skip the
@@ -192,7 +193,8 @@ def _gaspari_cohn_matrix(n, radius):
 
 
 def _gamma_repair(E, start=None, scale=None):
-    """Eq.-style positivity repair: gamma = |lambda_min| + margin if indefinite.
+    """Eq.-style positivity repair: gamma = |lambda_min| + GAMMA_MARGIN *
+    max|E| if indefinite.
 
     ``scale`` is the sparse UKF's n + kappa: the repair then also returns
     ``incomplete_cholesky(Pa, scale)``, the next cycle's sigma-point factor
@@ -228,7 +230,7 @@ def _gamma_repair(E, start=None, scale=None):
     bound = structured and vector is None  # lam is a lower bound of lambda_min
     if vector is not None:
         start = vector
-    gamma = -lam + GAMMA_MARGIN if lam < 0.0 else 0.0
+    gamma = -lam + GAMMA_MARGIN * float(np.abs(E.band).max()) if lam < 0.0 else 0.0
     Pa = E.add_scaled_identity(gamma) if gamma else E
     factor = None if scale is None else incomplete_cholesky(Pa, scale)
     return Pa, gamma, factorizations, bound, start, factor
@@ -271,11 +273,12 @@ def _update(xb, Pb, A, innov, obs_op, sbar=None):
     The cross covariance is Pxy = C - sbar u^T with C = A[:, oi] and u =
     sbar[oi], and Pyy = M - u u^T with M = A[oi, oi] + r I. The progressive
     EKF passes A = Pb and no sbar; the sparse UKF passes A = sum_k w_k S_k
-    S_k^T and its mean deviation sbar. The geometry alone picks the gain:
-    where ``gain_layout`` is None (a stride that does not divide n, or an
-    observation space too small for a band factor), Pxy and Pyy are dense,
-    and ``_dense_gain`` whitens them with one Cholesky factor of Pyy.
-    Elsewhere no gain is formed: ``band_gain`` gives the band of C M^-1 C^T
+    S_k^T and its mean deviation sbar. The size rule of every band kernel
+    picks the gain: on a small ring (``gain_layout`` is None where
+    ``uses_structured_path(n, h)`` does not hold) Pxy and Pyy are dense, and
+    ``_dense_gain`` whitens them with one Cholesky factor of Pyy. On every
+    larger ring, whatever the stride and the number of observations, no gain
+    is formed: ``band_gain`` gives the band of C M^-1 C^T
     and C M^-1 [d, u] from a band factor of M, and for sbar Sherman-Morrison
     gives Pyy^-1 from M^-1, so that band(Pxy Pyy^-1 Pxy^T) = band(C M^-1
     C^T) + alpha v v^T - sbar sbar^T with v = C M^-1 u - sbar, alpha = 1 /

@@ -180,15 +180,6 @@ def summarize(values):
     )
 
 
-def rmse(analysis, truth):
-    """Root-mean-square error over all state entries and all time steps."""
-    analysis = np.asarray(analysis, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if analysis.shape != truth.shape:
-        raise ValueError(f"trajectory shapes differ: {analysis.shape} vs {truth.shape}")
-    return float(np.sqrt(np.mean((analysis - truth) ** 2)))
-
-
 def replicate_seeds(config, replicate):
     """The (truth, observation, initial state, filter) seeds of one
     replicate, derived from (master seed, replicate index) only."""

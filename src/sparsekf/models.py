@@ -92,24 +92,6 @@ class ComponentModel:
         return Y
 
 
-@lru_cache(maxsize=8)
-def _cyclic_shifts(n):
-    idx = np.arange(n)
-    return (idx + 1) % n, (idx - 2) % n, (idx - 1) % n
-
-
-def lorenz96_rhs(x, forcing):
-    """Lorenz-96 right-hand side with cyclic indexing (vectorized on the last axis).
-
-    dx_i/dt = (x_{i+1} - x_{i-2}) * x_{i-1} - x_i + F
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] < 4:
-        raise ValueError("the advection stencil i-2..i+1 needs n >= 4")
-    ip1, im2, im1 = _cyclic_shifts(x.shape[-1])
-    return (x[..., ip1] - x[..., im2]) * x[..., im1] - x + forcing
-
-
 # Stencil of one RK4 step: the one-stage window {i-2..i+1} widened once per
 # remaining stage, giving {i-8..i+4} regardless of the step size; rk4_window
 # relies on exactly this halo.
@@ -117,8 +99,9 @@ _RK4_HALO = (8, 4)
 
 
 def _rhs_inner(x, forcing):
-    """Lorenz-96 right-hand side at positions 2..W-2 of windows of width W
-    (last axis): the same arithmetic as ``lorenz96_rhs``, without wrapping."""
+    """Lorenz-96 right-hand side dx_i/dt = (x_{i+1} - x_{i-2}) x_{i-1} - x_i
+    + F at positions 2..W-2 of windows of width W (last axis): the same
+    arithmetic as the cyclic right-hand side, without wrapping."""
     return (x[..., 3:] - x[..., :-3]) * x[..., 1:-2] - x[..., 2:-1] + forcing
 
 
@@ -128,7 +111,7 @@ def rk4_window(x, dt, forcing):
     Each stage loses the entries whose stencil leaves the window, so the
     result holds the W-12 positions whose whole RK4 stencil lies inside.
     Every kept entry sees the same operations as in four cyclic
-    ``lorenz96_rhs`` stages of the state the window was gathered from, so
+    right-hand-side stages of the state the window was gathered from, so
     it is bit-identical to that step.
     """
     k1 = _rhs_inner(x, forcing)  # positions 2..W-2
@@ -150,8 +133,8 @@ def rk4_step(x, dt, forcing):
     """Classical 4th-order Runge-Kutta step of the Lorenz-96 ODE (last axis).
 
     The cyclic state is padded with its own halo entries and stepped by
-    ``rk4_window``, which is the same arithmetic as four ``lorenz96_rhs``
-    stages with one gather instead of three per stage.
+    ``rk4_window``, which is the same arithmetic as four cyclic
+    right-hand-side stages with one gather instead of three per stage.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] < 4:

@@ -31,9 +31,10 @@ Contents:
     Ritz vector from an earlier call can warm-start it
   - GainLayout / gain_layout / band_gain: the Kalman gain's band
     C M^-1 C^T and C M^-1 v for a band observed at every stride-th state
-    with noise r I, from a band factor of M = A[oi, oi] + r I and its
-    selected inverse, contracted through strided views of that inverse's
-    band: O(n Nsp^2) work and O(n Nsp) memory, no m x m or n x m array
+    with noise r I, at any stride, from a band factor of M = A[oi, oi] + r I
+    and its selected inverse, contracted through strided views of that
+    inverse's band (a ragged stride mends its seam in one small dense
+    block): O(n Nsp^2) work and O(n Nsp) memory, no m x m or n x m array
 """
 
 from __future__ import annotations
@@ -253,32 +254,16 @@ def restricted_product(A, B, pattern):
 
     The result is symmetrized entrywise: value at admissible (i, j) is
     0.5 * ((A@B)[i, j] + (A@B)[j, i]). The caller is responsible for A @ B
-    being symmetric up to rounding. While n < GEMM_BAND_RATIO * (h+1) one
-    GEMM forms the dense product (n^2 m multiply-adds at BLAS speed); from
-    there on strided einsums make only the 2 n (h+1) m behind the band,
-    never the dense product. The two cross near that ratio (h = 3 to 40,
-    m = n/3 or n/2, one BLAS thread).
+    being symmetric up to rounding. One GEMM forms the dense product: its
+    only caller is the dense gain of a ring below ``uses_structured_path``.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    n, h = pattern.n, pattern.half_bandwidth
+    n = pattern.n
     if A.ndim != 2 or B.ndim != 2 or A.shape[0] != n or B.shape[1] != n \
             or A.shape[1] != B.shape[0]:
         raise ValueError(f"incompatible shapes {A.shape} x {B.shape} for n={n}")
-    if n < GEMM_BAND_RATIO * (h + 1):
-        return SparseSymMatrix.from_dense(A @ B, pattern)
-    rows = np.arange(n + h) % n  # contiguous copies, extended past the wrap
-    A_ext, Bt_ext = A[rows], B.T[rows]
-    upper = np.einsum("ik,idk->id", A_ext[:n], _row_windows(Bt_ext, h))  # (A@B)[i, i+d]
-    lower = np.einsum("idk,ik->id", _row_windows(A_ext, h), Bt_ext[:n])  # (A@B)[i+d, i]
-    return SparseSymMatrix(pattern, 0.5 * (upper + lower))
-
-
-def _row_windows(X, h):
-    """Read-only view ``W[i, d] = X[i + d]`` of an array extended by h rows."""
-    step, item = X.strides
-    return as_strided(X, shape=(X.shape[0] - h, h + 1, X.shape[1]),
-                      strides=(step, step, item), writeable=False)
+    return SparseSymMatrix.from_dense(A @ B, pattern)
 
 
 def _read_only(a):
@@ -378,8 +363,6 @@ def _sum_layout(n, h):
 BLOCK_ROWS = 32
 MIN_BLOCKS = 8
 
-GEMM_BAND_RATIO = 32  # restricted_product's GEMM/band crossover, n / (h+1)
-
 
 def _check_finite(values):
     if not np.isfinite(values).all():
@@ -438,10 +421,9 @@ def _block_rows(n, b):
     """(N, p) natural rows of the N = n // b blocks of a reduction with
     blocks of b rows, -1 marking padding: the first n % N blocks hold
     ceil(n / N) rows and the rest floor(n / N), all padded to p = ceil(n /
-    N). Also the padded slot of every natural row, (n,)."""
-    N = n // b
-    if N < 3:
-        raise ValueError(f"cyclic reduction needs n >= {3 * b}, got n={n}")
+    N). Below three blocks (n < 3b) it is one block of all n rows. Also the
+    padded slot of every natural row, (n,)."""
+    N = n // b if n >= 3 * b else 1
     p, extra = -(-n // N), n % N
     sizes = np.full(N, n // N)
     sizes[:extra] += 1
@@ -459,7 +441,8 @@ def _reduction_layout(n, h):
 
     - ``diag`` (N, p, p) and ``sub`` (N, p, p): gather indices of the diagonal
       blocks and the couplings A[k+1, k] (cyclic, k = N-1 couples block 0 to
-      block N-1) in a band with a trailing zero; padded entries read the zero;
+      block N-1) in a band with a trailing zero; padded entries, and the
+      coupling of a single block, read the zero;
     - ``pad``: the padded diagonal entries as an index (block, row, row), or
       None without padding;
     - ``right``: per level, the even neighbour j + 1 of each odd block j among
@@ -467,7 +450,7 @@ def _reduction_layout(n, h):
       rows, or two blocks).
     """
     rows, _ = _block_rows(n, _block_size(h))
-    below = np.roll(rows, -1, axis=0)  # rows of block k + 1
+    below = np.roll(rows, -1, axis=0) if len(rows) > 1 else -np.ones_like(rows)  # block k + 1
 
     def gather(r, c):
         r, c = r[:, :, None], c[:, None, :]
@@ -502,7 +485,7 @@ def _transpose(X):
 
 
 class CyclicReduction:
-    """Cholesky factor of ``scale * P + shift * I`` for P on a cyclic band,
+    """Cholesky factor of ``P + shift * I`` for P on a cyclic band,
     in the order of odd-even block cyclic reduction (Buzbee, Golub & Nielson
     1970), built without an n x n array.
 
@@ -515,23 +498,23 @@ class CyclicReduction:
     about log2(N) levels one dense factorization of at most BASE_ROWS rows
     is left. Level l works on the blocks 0, s, 2s, ... (s = 2^l) in place,
     as strided views. The work is O(n b^2) in batched calls, the depth
-    O(log N). What (n, h) fixes, the gather indices, the padding and every
-    level's neighbour index, is cached (``_reduction_layout``).
+    O(log N); below three blocks, none: one block is the base. What (n, h)
+    fixes, the gather indices, the padding and every level's neighbour
+    index, is cached (``_reduction_layout``).
 
     A block that fails to factor raises ``np.linalg.LinAlgError``: the
     shifted matrix is then not positive definite. Non-finite input raises
     FactorizationError.
     """
 
-    def __init__(self, P, scale=1.0, shift=0.0):
+    def __init__(self, P, shift=0.0):
         n, h = P.pattern.n, P.pattern.half_bandwidth
         self.rows, self._position = _block_rows(n, _block_size(h))
         b = self.rows.shape[1]  # the padded block size
         _check_finite(P.band)
-        band = np.empty(n * (h + 1) + 1)
-        np.multiply(P.band, scale, out=band[:-1].reshape(n, h + 1))
+        band = np.zeros(n * (h + 1) + 1)
+        band[:-1] = P.band.ravel()
         band[:-1:h + 1] += shift
-        band[-1] = 0.0
         diag_idx, sub_idx, pad, rights = _reduction_layout(n, h)
         D, C = band[diag_idx], band[sub_idx]  # C[k] = A[k+1, k]
         if pad is not None:
@@ -917,32 +900,31 @@ class GainLayout:
     """The observation geometry of ``band_gain`` and its cached indices.
 
     A is a SparseSymMatrix on the cyclic band of half bandwidth k on n
-    states. It is observed at ``stride * alpha``, alpha < m = n / stride.
+    states. It is observed at ``stride * alpha``, alpha < m = ceil(n /
+    stride), regularly on the ring of N = m * stride states whose states n
+    .. N-1 are an unobserved gap (the ``seam``) where stride does not divide n.
     ``C = A[:, observed]`` is kept as local rows: row i of C at the q
     observed indices from ceil((i - k) / stride) on (mod m), a cyclic run
     that covers every observed column within k of state i (entries past
     that read 0).
     ``width`` is the largest observation-space distance between the window
-    entries of two states at most h apart, which is the reach of the band of
-    ``C M^-1 C^T`` on the pattern ``SparsityPattern(n, h)``.
+    entries of two states at most h apart (across the gap too), the reach
+    of the band of ``C M^-1 C^T``.
 
     The windows start at ceil((i - k) / stride), so after a roll by
     ``roll`` states they come in m groups of ``stride``: the states ``roll +
-    g * stride + r`` (mod n), r < stride, share the window start g.
+    g * stride + r`` (mod N), r < stride, share the window start g.
     """
 
     def __init__(self, n, k, h, stride):
-        i = np.arange(n + h)  # state rows, extended past the wrap
-        start = -((k - i) // stride)  # ceil((i - k) / stride)
-        stop = (i + k) // stride  # last observed index within k
-        self.m, self.q = n // stride, int((stop - start).max()) + 1
-        self.width = int(max((start[d:d + n] - start[:n]).max() for d in range(h + 1))) \
-            + self.q - 1
-        self.roll = (k + 1 - stride) % n  # start[roll] = 0
+        self.m = -(-n // stride)
+        self.N = self.m * stride
+        self.q = min(2 * k // stride + 1, self.m)
+        self.width = -(-(h + self.N - n) // stride) + self.q - 1
+        self.roll = (k + 1 - stride) % self.N  # the first window from 0
         self._geometry = (n, k, h, stride)
-        self._start = start[:n]
 
-    # The patterns and the indices are built on first use: only the structured path uses them.
+    # The patterns and the indices are built on first use.
 
     @cached_property
     def pattern(self):
@@ -952,8 +934,9 @@ class GainLayout:
 
     @cached_property
     def obs_pattern(self):
-        """The pattern of M in observation space: half bandwidth ``width``."""
-        return SparsityPattern(self.m, self.width)
+        """The pattern of M in observation space: half bandwidth ``width``,
+        at most m // 2."""
+        return SparsityPattern(self.m, min(self.width, self.m // 2))
 
     @cached_property
     def inverse_rows(self):
@@ -961,59 +944,107 @@ class GainLayout:
         factor (``CyclicReduction.selected_inverse``, diag and sub
         concatenated): entry [t, j] is Z[t, t + j - q + 1], indices mod m."""
         t = np.arange(self.m + self.q - 1)[:, None]
-        return _read_only(_inverse_index(self.m, _block_size(self.width), t,
-                                         t + np.arange(self.width + self.q) - self.q + 1))
+        b = _block_size(self.obs_pattern.half_bandwidth)
+        return _read_only(_inverse_index(self.m, b, t, t + np.arange(self.width + self.q)
+                                         - self.q + 1))
 
     @cached_property
     def group_order(self):
-        """(n + h,) the states roll, roll + 1, ... (mod n): group order,
+        """(N + h,) the states roll, roll + 1, ... (mod N): group order,
         extended by h states past the wrap."""
-        n, _, h, _ = self._geometry
-        return _read_only((self.roll + np.arange(n + h)) % n)
+        h = self._geometry[2]
+        return _read_only((self.roll + np.arange(self.N + h)) % self.N)
 
     @cached_property
     def natural_order(self):
         """(n,) the group position of every state, the inverse of ``group_order``."""
-        n = self._geometry[0]
-        return _read_only((np.arange(n) - self.roll) % n)
+        return _read_only((np.arange(self._geometry[0]) - self.roll) % self.N)
+
+    @cached_property
+    def _row_index(self):
+        """(stride, q) flat indices of the window entries A[r, r + o], o =
+        stride * (start + a) - r, of the states r < stride, in the band from
+        row -k with a zero column (``local_rows``)."""
+        _, k, _, stride = self._geometry
+        r = np.arange(stride)[:, None]
+        o = stride * (np.arange(self.q) - (k - r) // stride) - r
+        i = k + r  # the row of state r
+        return _read_only(np.where(o > k, i * (k + 2) + k + 1,
+                                   np.where(o >= 0, i * (k + 2) + o, (i + o) * (k + 2) - o)))
+
+    @cached_property
+    def seam(self):
+        """None where the stride divides n; else O((k + h)^2) indices (-1
+        reads 0, ``_take``) that mend what the ring of N misreads across the
+        gap: A's pairs of M's last w rows (all when m = 2w); the 2(k + h)
+        states U around the wrap, the observations O within k of them, C[U,
+        O] in A and Z[O, O] in the selected inverse (0 past w); the band
+        slots of the states from k + h before the wrap to k after it, and
+        their entries in the block C[U, O] Z[O, O] C[U, O]^T."""
+        n, k, h, stride = self._geometry
+        if self.N == n:
+            return None
+        m, w, reach = self.m, self.obs_pattern.half_bandwidth, k + h
+
+        def pairs(i, j):
+            index = _band_index(n, k, i, j)
+            return np.where(index < n * (k + 1), index, -1)
+
+        alpha = np.arange(0 if 2 * w == m else m - w, m)[:, None]
+        states = np.arange(-reach, reach) % n
+        first, last = -((reach + k - n) // stride), (reach + k - 1) // stride
+        obs = np.unique(np.arange(first - m, last + 1) % m)  # within k of U
+        a, c = obs[:, None], obs
+        inverse = np.where(np.minimum((a - c) % m, (c - a) % m) <= w,
+                           _inverse_index(m, _block_size(w), a, c), -1)
+        x, d = np.arange(reach + k)[:, None], np.arange(h + 1)
+        return tuple(_read_only(a) for a in (
+            pairs(stride * alpha, stride * ((alpha + np.arange(w + 1)) % m)), states, obs,
+            pairs(states[:, None], stride * obs), inverse,
+            (((x - reach) % n) * (h + 1) + d).ravel(), (x * (2 * reach + 1) + d).ravel()))
 
     def local_rows(self, A):
-        """(n, q) rows of C = A[:, observed] at their windows. Row i reads A's
-        row at the offsets stride * (start + a) - i, which depend on i mod
-        stride only: every stride-th of the row's 2k + 1 values, zero past k."""
+        """(N, q) rows of C = A[:, observed] at their windows (wrong within k
+        of a gap). Row i reads A's row at the offsets stride * (start + a) -
+        i, zero past k, which depend on i mod stride only: state r + s *
+        stride reads the entries of state r (``_row_index``) s * stride rows
+        further on, one gather."""
         n, k, _, stride = self._geometry
-        band = np.concatenate([A.band[n - k:], A.band])  # rows from -k
-        row, item = band.strides
-        full = np.zeros((n, 2 * k + 1 + stride))  # A[i, i + c - k] at column c
-        full[:, :k + 1] = as_strided(band[0, k:], shape=(n, k + 1), strides=(row, row - item))
-        full[:, k:2 * k + 1] = A.band
-        rows = np.empty((n, self.q))
-        for rho in range(stride):
-            c = k + stride * self._start[rho] - rho  # the column of a = 0
-            rows[rho::stride] = full[rho::stride, c:c + stride * self.q:stride]
-        return rows
+        N = self.N
+        band = np.zeros((N + k, k + 2))  # rows from -k, and a zero column
+        band[k:k + n, :k + 1] = A.band
+        band[:k] = band[N:]
+        item = band.itemsize
+        runs = as_strided(band, shape=(self.m, (k + stride) * (k + 2)),
+                          strides=(stride * (k + 2) * item, item), writeable=False)
+        return runs[:, self._row_index].reshape(N, self.q)
 
     def observed(self, A, r):
         """``A[observed][:, observed] + r I`` on ``obs_pattern``: every
-        stride-th band slot of every stride-th row, zero past k."""
+        stride-th band slot of every stride-th row, zero past k, and the
+        ``seam``'s rows."""
         stride = self._geometry[3]
-        M = np.zeros((self.m, self.width + 1))
+        M = np.zeros((self.m, self.obs_pattern.half_bandwidth + 1))
         band = A.band[::stride, ::stride]
         M[:, :band.shape[1]] = band
+        if self.seam is not None:
+            pairs = self.seam[0]
+            M[self.m - len(pairs):] = _take(A.band, pairs)
         M[:, 0] += r
         return SparseSymMatrix(self.obs_pattern, M)
+
+
+def _take(a, index):
+    """``a.flat[index]``, 0 where the index is -1."""
+    return np.where(index >= 0, a.flat[index], 0.0)
 
 
 @lru_cache(maxsize=16)
 def gain_layout(n, k, h, stride):
     """The GainLayout of a band of half bandwidth k observed at every
-    ``stride``-th state with the result on the (n, h) pattern, or None
-    unless the structured gain applies: stride divides n, and
-    ``uses_structured_path(m, width)`` holds."""
-    if n % stride:
-        return None
-    layout = GainLayout(n, k, h, stride)
-    return layout if uses_structured_path(layout.m, layout.width) else None
+    ``stride``-th state with the result on the (n, h) pattern, or None where
+    ``uses_structured_path(n, h)`` does not hold and the dense gain runs."""
+    return GainLayout(n, k, h, stride) if uses_structured_path(n, h) else None
 
 
 def band_gain(A, r, layout, rhs):
@@ -1029,31 +1060,42 @@ def band_gain(A, r, layout, rhs):
     the band ``Zb`` of ``layout.inverse_rows``. In the group order of
     ``layout.roll`` the states of group g share the block ``Z[g + a, g +
     e]``, a < q, e <= width, a strided view of Zb; one contraction gives ``y
-    = C Z`` on those blocks, and band slot (i, d) reads y at static offsets.
-    O(n q (width + h)) work and O(n width) memory, no m x m or n x m array.
+    = C Z`` on those blocks, and band slot (i, d) reads y at one of two
+    static offsets. The slots and rows near a gap come from the ``seam``'s
+    dense block. O(N q (width + h)) work and O(N width) memory, N < 2n.
     Returns (SparseSymMatrix on ``layout.pattern``, list of C M^-1 v, list
     of M^-1 v).
     """
     M, rows = layout.observed(A, r), layout.local_rows(A)
     F = CyclicReduction(M)
     X = F.solve(np.stack(rhs, axis=1))
-    m, q, width = layout.m, layout.q, layout.width
-    n, h = layout.pattern.n, layout.pattern.half_bandwidth
-    stride = n // m
-    Zb = np.concatenate([a.ravel() for a in F.selected_inverse()])[layout.inverse_rows]
+    m, q, width, N = layout.m, layout.q, layout.width, layout.N
+    h = layout.pattern.half_bandwidth
+    stride = N // m
+    Z = np.concatenate([a.ravel() for a in F.selected_inverse()])
+    Zb = Z[layout.inverse_rows]
     row, item = Zb.strides
     V = as_strided(Zb[0, q - 1:], shape=(m, q, width + 1), strides=(row, row - item, item),
                    writeable=False)  # V[g, a, e] = Z[g + a, g + e]
     R = rows[layout.group_order]
-    groups = R[:n].reshape(m, stride, q)
+    groups = R[:N].reshape(m, stride, q)
     y = groups @ V  # (C Z)[roll + g stride + rho, g + e]
     T = np.empty((m, stride, h + 1))
-    for rho in range(stride):
-        for d in range(h + 1):
-            s = (rho + d) // stride  # the window of state i + d starts s after that of i
-            T[:, rho, d] = np.einsum("ga,ga->g", y[:, rho, s:s + q], R[rho + d:rho + d + n:stride])
+    for d in range(h + 1):
+        # the window of state i + d starts s after that of i for the first c
+        # residues rho, and s + 1 after for the rest
+        s, c = d // stride, stride - d % stride
+        Rd = R[d:d + N].reshape(m, stride, q)
+        T[:, :c, d] = np.einsum("gra,gra->gr", y[:, :c, s:s + q], Rd[:, :c])
+        if c < stride:
+            T[:, c:, d] = np.einsum("gra,gra->gr", y[:, c:, s + 1:s + 1 + q], Rd[:, c:])
     windows = np.swapaxes(sliding_window_view(np.concatenate([X, X[:q - 1]]), q, axis=0), 1, 2)
     natural = layout.natural_order
-    products = (groups @ windows).reshape(n, -1)[natural]  # C M^-1 v
-    return SparseSymMatrix(layout.pattern, T.reshape(n, h + 1)[natural]), \
-        list(products.T), list(X.T)
+    products = (groups @ windows).reshape(N, -1)[natural]  # C M^-1 v
+    band = T.reshape(N, h + 1)[natural]
+    if layout.seam is not None:
+        states, obs, rows_at, inverse, slots, block = layout.seam[1:]
+        CU = _take(A.band, rows_at)
+        band.flat[slots] = (CU @ _take(Z, inverse) @ CU.T).flat[block]
+        products[states] = CU @ X[obs]
+    return SparseSymMatrix(layout.pattern, band), list(products.T), list(X.T)

@@ -4,7 +4,7 @@ dense-path oracles of the sparse filters."""
 import numpy as np
 
 from sparsekf.filters import GAMMA_MARGIN, CycleDiagnostics, FilterState, ukf_weights
-from sparsekf.models import ComponentModel, lorenz96_rhs
+from sparsekf.models import ComponentModel
 from sparsekf.sparse_core import SparseSymMatrix, restricted_outer_accumulate
 
 
@@ -86,10 +86,11 @@ def dense_pattern_factor(P, scale):
 
 
 def dense_gamma_repair(E):
-    """The gamma repair through numpy's dense eigvalsh."""
+    """The gamma repair through numpy's dense eigvalsh, its margin relative
+    to max|E|."""
     lam = float(np.linalg.eigvalsh(E.to_dense())[0])
     if lam < 0.0:
-        gamma = -lam + GAMMA_MARGIN
+        gamma = -lam + GAMMA_MARGIN * float(np.abs(E.band).max())
         return E.add_scaled_identity(gamma), gamma
     return E, 0.0
 
@@ -183,6 +184,20 @@ def dense_path_progressive_ekf_cycle(state, y_obs, model, obs_op, params):
                                                 float(np.linalg.norm(innov)), nis=nis))
 
 
+def lorenz96_rhs(x, forcing):
+    """Lorenz-96 right-hand side with cyclic indexing (vectorized on the last
+    axis), the oracle of the package's windowed stages:
+
+    dx_i/dt = (x_{i+1} - x_{i-2}) * x_{i-1} - x_i + F
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] < 4:
+        raise ValueError("the advection stencil i-2..i+1 needs n >= 4")
+    i = np.arange(x.shape[-1])
+    n = i.size
+    return (x[..., (i + 1) % n] - x[..., (i - 2) % n]) * x[..., (i - 1) % n] - x + forcing
+
+
 def ring_rk4(x, dt, forcing=8.0):
     """RK4 step of the Lorenz-96 ring through four cyclic right-hand sides."""
     k1 = lorenz96_rhs(x, forcing)
@@ -190,6 +205,16 @@ def ring_rk4(x, dt, forcing=8.0):
     k3 = lorenz96_rhs(x + 0.5 * dt * k2, forcing)
     k4 = lorenz96_rhs(x + dt * k3, forcing)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rmse(analysis, truth):
+    """Root-mean-square error over all state entries and all time steps, the
+    oracle of ``run_replicate``'s RMSE."""
+    analysis = np.asarray(analysis, dtype=float)
+    truth = np.asarray(truth, dtype=float)
+    if analysis.shape != truth.shape:
+        raise ValueError(f"trajectory shapes differ: {analysis.shape} vs {truth.shape}")
+    return float(np.sqrt(np.mean((analysis - truth) ** 2)))
 
 
 def full_step_columns(x, pattern, perturbations, dt, forcing=8.0):

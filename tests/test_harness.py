@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import sparsekf.harness as harness
+from helpers import rmse
 from sparsekf.cli import main, parse_config_file
 from sparsekf.models import Lorenz96Model
 from sparsekf.harness import (
@@ -24,7 +25,7 @@ from sparsekf.harness import (
     aggregate_results,
     generate_truth,
     observation_times,
-    rmse,
+    replicate_seeds,
     run_experiment,
     run_replicate,
     summarize,
@@ -49,6 +50,29 @@ def tiny_config(**kw):
 
 
 class TestRmse:
+    @pytest.mark.parametrize("name", ["sparse_ukf", "progressive_ekf"])
+    def test_is_the_rmse_run_replicate_reports(self, monkeypatch, name):
+        # the analysis of every step 0..n_steps, recorded from the filter
+        analyses = []
+
+        class Recording(harness.FILTERS[name]):
+            def init(self, *args):
+                state = super().init(*args)
+                analyses.append(state.xa)
+                return state
+
+            def cycle(self, *args):
+                state = super().cycle(*args)
+                analyses.append(state.xa)
+                return state
+
+        monkeypatch.setitem(harness.FILTERS, name, Recording)
+        config = tiny_config(filter=name).validate()
+        result = run_replicate(config, 1)
+        truth = generate_truth(config, replicate_seeds(config, 1)[0])
+        assert len(analyses) == config.n_steps + 1
+        assert result.rmse == pytest.approx(rmse(np.array(analyses), truth), rel=1e-12)
+
     def test_identical_trajectories(self):
         t = np.random.default_rng(0).normal(size=(11, 4))
         assert rmse(t, t) == 0.0
@@ -216,15 +240,15 @@ class TestRunReplicate:
         assert r.error == "MemoryError at cycle 3: Unable to allocate 512. GiB"
 
     def test_overflow_is_reported_without_numpy_warnings(self):
-        # p0 = 1000 blows up the forecast: the first repaired covariance
-        # (max|E| far above 1 / GAMMA_MARGIN) does not factor for the next
-        # sigma points, nothing retries, and no RuntimeWarning escapes the loop
+        # p0 = 1000 blows up the forecast: the margin of the repair is
+        # relative to max|E|, so its covariances factor until the RK4 forecast
+        # overflows, nothing retries, and no RuntimeWarning escapes the loop
         config = ExperimentConfig(p0=1000.0, n_replicates=1, n_steps=20).validate()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r = run_replicate(config, 0)
-        assert r.failed and r.error == ("FactorizationError at cycle 1: "
-                                        "40 * P is not positive definite")
+        assert r.failed and r.error == ("FactorizationError at cycle 3: "
+                                        "cannot factor a matrix with non-finite entries")
 
     def test_indefinite_dense_ukf_covariance_is_a_failed_replicate(self, capsys):
         # the centre weight kappa / (n + kappa) = -79 makes the dense UKF's

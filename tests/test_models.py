@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import LinearModel, full_step_columns, ring_rk4
+from helpers import LinearModel, full_step_columns, lorenz96_rhs, ring_rk4
 from sparsekf.models import (
     Lorenz96Model,
     ObservationOperator,
-    lorenz96_rhs,
     rk4_step,
     rk4_window,
     step_columns,

@@ -1,13 +1,14 @@
 """The README's library quick start runs against the package as it is, its
 configuration table names every configuration key, its CSV schemas are the
 ones the harness writes, and the kernel constants it states are the ones
-sparse_core uses."""
+sparse_core and filters use."""
 
+import ast
 import dataclasses
 import os
 import re
 
-from sparsekf import sparse_core
+from sparsekf import filters, sparse_core
 from sparsekf.harness import RUNS_CSV_HEADER, SUMMARY_CSV_HEADER, ExperimentConfig
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -42,13 +43,17 @@ def test_csv_schemas_are_the_headers_the_harness_writes():
 
 
 def test_kernel_constants_are_the_ones_sparse_core_uses():
-    # the factor's rows per step, the reduction's block and base, and the
-    # size rule n >= MIN_BLOCKS * max(BLOCK_ROWS, h)
+    # every constant README writes as `NAME = value` exists in sparse_core or
+    # filters with that value, so that a deleted one cannot linger; among
+    # them the factor's rows per step and the reduction's block and base;
+    # and the size rule n >= MIN_BLOCKS * max(BLOCK_ROWS, h)
     with open(README) as f:
         text = f.read()
-    stated = re.findall(r"`(FACTOR_ROWS|REDUCTION_ROWS|BASE_ROWS) = (\d+)`", text)
-    assert {name for name, _ in stated} == {"FACTOR_ROWS", "REDUCTION_ROWS", "BASE_ROWS"}
+    stated = re.findall(r"`([A-Z][A-Z0-9_]+) = ([^`]+)`", text)
+    assert {"FACTOR_ROWS", "REDUCTION_ROWS", "BASE_ROWS"} <= {name for name, _ in stated}
     for name, value in stated:
-        assert int(value) == getattr(sparse_core, name), name
+        module = next((m for m in (sparse_core, filters) if hasattr(m, name)), None)
+        assert module is not None, f"README states {name}, which no module defines"
+        assert ast.literal_eval(value) == getattr(module, name), name
     rules = re.findall(r"`n >= (\d+) \* max\((\d+), h\)`", text)
     assert rules and set(rules) == {(str(sparse_core.MIN_BLOCKS), str(sparse_core.BLOCK_ROWS))}

@@ -610,7 +610,8 @@ class TestCyclicReduction:
         rng = np.random.default_rng(8 * n + h)
         P = random_band_spd(rng, n, h)
         A = 3.0 * P.to_dense() + 0.5 * np.eye(n)
-        L, order = factor_to_dense(CyclicReduction(P, scale=3.0, shift=0.5))
+        L, order = factor_to_dense(CyclicReduction(SparseSymMatrix(P.pattern, 3.0 * P.band),
+                                                   shift=0.5))
         assert np.array_equal(np.sort(order), np.arange(n))
         assert np.array_equal(L, np.tril(L))
         assert np.abs(L @ L.T - A[np.ix_(order, order)]).max() <= 1e-12 * np.abs(A).max()
@@ -621,7 +622,7 @@ class TestCyclicReduction:
         P = random_band_spd(rng, n, h)
         v = rng.normal(size=n)
         for scale, shift in [(1.0, 0.0), (3.0, 0.5)]:
-            x = CyclicReduction(P, scale=scale, shift=shift).solve(v)
+            x = CyclicReduction(SparseSymMatrix(P.pattern, scale * P.band), shift=shift).solve(v)
             A = scale * P.to_dense() + shift * np.eye(n)
             assert np.abs(x - np.linalg.solve(A, v)).max() <= 1e-10
 
@@ -686,6 +687,29 @@ class TestCyclicReduction:
         rows, cols = P.column_values(), P.pattern.offset_columns
         residual = np.einsum("ij,ij->i", rows, x[cols]) - v  # band matvec
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(v)
+
+
+class TestOneBlockReduction:
+    """Below three blocks of b = max(h, REDUCTION_ROWS) rows a reduction is
+    one block, factored dense as its base with no coupling: the gain's M of
+    a large ring with few observations."""
+
+    @pytest.mark.parametrize("m,w", [(1, 0), (2, 1), (5, 2), (11, 3), (20, 8), (40, 20)])
+    def test_factor_solve_and_selected_inverse_match_numpy(self, m, w):
+        rng = np.random.default_rng(10 * m + w)
+        # from_dense gives the two slots of an antipodal pair (w = m / 2) one value
+        A = SparseSymMatrix.from_dense(rng.normal(size=(m, m)), SparsityPattern(m, w))
+        A = A.add_scaled_identity(0.05 - np.linalg.eigvalsh(A.to_dense())[0])
+        dense = A.to_dense()
+        F = CyclicReduction(A)
+        assert F.rows.shape == (1, m) and not F._levels
+        assert np.array_equal(F._base, np.linalg.cholesky(dense))
+        V = rng.normal(size=(m, 2))
+        X = F.solve(V)
+        assert np.abs(X - np.linalg.solve(dense, V)).max() <= 1e-12 * np.abs(X).max()
+        diag, _ = F.selected_inverse()
+        Z = np.linalg.inv(dense)
+        assert np.abs(diag[0] - Z).max() <= 1e-12 * np.abs(Z).max()
 
 
 class TestBandGainMemory:
@@ -762,18 +786,18 @@ class TestSelectedInverse:
         assert np.abs(sub - Z.reshape(N, 20, N, 20)[k, :, np.arange(N)]).max() <= tol
 
 
-def windows(layout, n, k, stride):
-    """(n, q) observed indices of the local rows of C: row i starts at
-    ceil((i - k) / stride), the index of the first observed state within k
-    of state i."""
-    start = -((k - np.arange(n)) // stride)
+def windows(layout, k, stride):
+    """(N, q) observed indices of the local rows of C on the ring of N:
+    row i starts at ceil((i - k) / stride), the index of the first observed
+    state within k of state i."""
+    start = -((k - np.arange(layout.N)) // stride)
     return (start[:, None] + np.arange(layout.q)) % layout.m
 
 
 def dense_gain(A, r, layout, rhs):
     """The outputs of band_gain through the dense C = A[:, oi] and M = A[oi,
     oi] + r I of ``A.to_dense()`` and a dense solve with M."""
-    oi = (A.n // layout.m) * np.arange(layout.m)
+    oi = (layout.N // layout.m) * np.arange(layout.m)
     dense = A.to_dense()
     C, Md = dense[:, oi], dense[np.ix_(oi, oi)] + r * np.eye(oi.size)
     K = np.linalg.solve(Md, C.T).T
@@ -797,22 +821,57 @@ class TestGainLayout:
     @pytest.mark.parametrize("n,k,h,stride", [
         (40, 6, 3, 2),  # desk: m = 20
         (160, 40, 20, 2),  # wide band: m = 80
-        (640, 6, 3, 3),  # stride does not divide n
     ])
     def test_dense_cases(self, n, k, h, stride):
         assert gain_layout(n, k, h, stride) is None
 
-    @pytest.mark.parametrize("n,k,h,stride", [(640, 6, 3, 2), (768, 9, 4, 3), (512, 3, 3, 1)])
+    @pytest.mark.parametrize("n,k,h,stride,N,q,width", [
+        (640, 6, 3, 3, 642, 5, 6),  # a gap of two states; 5 when the stride divides n
+        (641, 6, 3, 2, 642, 7, 8),  # a gap of one state; 8 as well
+        (640, 6, 3, 636, 1272, 1, 1),  # two observations, 4 states apart across the wrap
+        (10240, 6, 3, 10239, 20478, 1, 2),
+    ])
+    def test_ragged_stride_keeps_the_bandwidths(self, n, k, h, stride, N, q, width):
+        # the windows are those of k whatever the gap, and the reach grows
+        # by one observation at most
+        layout = gain_layout(n, k, h, stride)
+        assert (layout.m, layout.N, layout.q, layout.width) == (-(-n // stride), N, q, width)
+        assert layout.width <= -(-h // stride) + q and layout.seam is not None
+
+    def test_one_rule_for_every_geometry(self):
+        # gain_layout is None exactly where the size rule says dense, and
+        # no geometry the former rule gave the structured gain (a stride
+        # dividing n and uses_structured_path(m, width)) now goes dense
+        def former_rule(n, k, h, stride):
+            m, q = n // stride, 2 * k // stride + 1
+            return n % stride == 0 and uses_structured_path(m, -(-h // stride) + q - 1)
+
+        former = 0
+        for n in (40, 160, 255, 256, 320, 400, 641, 2560, 2561):
+            for h in (1, 3, 10, 20, 40):
+                for k in {h, min(2 * h, n // 2)}:
+                    for stride in (1, 2, 3, 5, 16, 64, 128, 511, n, n + 3):
+                        layout = gain_layout(n, k, h, stride)
+                        assert (layout is None) == (not uses_structured_path(n, h))
+                        if former_rule(n, k, h, stride):
+                            former += 1
+                            assert layout is not None
+        assert former > 0
+
+    @pytest.mark.parametrize("n,k,h,stride", [(640, 6, 3, 2), (768, 9, 4, 3), (512, 3, 3, 1),
+                                              (640, 6, 3, 3), (640, 6, 3, 636)])
     def test_local_rows_and_observed_band(self, n, k, h, stride):
         rng = np.random.default_rng(n + k)
         A = SparseSymMatrix(SparsityPattern(n, k), rng.normal(size=(n, k + 1)))
-        oi = stride * np.arange(n // stride)
+        oi = np.arange(0, n, stride)
         layout = gain_layout(n, k, h, stride)
         dense = A.to_dense()
         rows = layout.local_rows(A)
-        C = np.zeros((n, oi.size))
-        np.add.at(C, (np.arange(n)[:, None], windows(layout, n, k, stride)), rows)
-        assert np.array_equal(C, dense[:, oi])
+        C = np.zeros((layout.N, oi.size))
+        np.add.at(C, (np.arange(layout.N)[:, None], windows(layout, k, stride)), rows)
+        # away from the gap of a ragged stride (the seam's) the rows are C's
+        rest = slice(0, n) if n == layout.N else slice(k, n - k)
+        assert np.array_equal(C[rest], dense[rest][:, oi])
         r = rng.uniform(0.5, 1.5)
         assert np.array_equal(layout.observed(A, r).to_dense(),
                               dense[np.ix_(oi, oi)] + r * np.eye(oi.size))
@@ -822,10 +881,19 @@ class TestBandGain:
     @pytest.mark.parametrize("n,k,h,stride", [(640, 6, 3, 2), (640, 3, 3, 2), (768, 9, 4, 3),
                                               (512, 3, 3, 1),
                                               (1280, 20, 10, 2),  # sparse UKF, Nsp = 21
-                                              (1536, 15, 10, 3)])
+                                              (1536, 15, 10, 3),
+                                              # strides that do not divide n
+                                              (641, 6, 3, 2), (640, 6, 3, 3), (640, 3, 3, 7),
+                                              (700, 20, 10, 6), (1283, 40, 20, 2),
+                                              (640, 6, 3, 636),  # m = 2: antipodal slots
+                                              (2560, 6, 3, 2559), (640, 6, 3, 639),
+                                              (300, 149, 37, 151),  # k close to n / 2
+                                              # few observations: M is one dense block
+                                              (640, 6, 3, 64), (640, 6, 3, 640),
+                                              (641, 3, 3, 320)])
     def test_matches_dense_solve(self, n, k, h, stride):
         rng = np.random.default_rng(2 * n + k)
-        oi = stride * np.arange(n // stride)
+        oi = np.arange(0, n, stride)
         layout = gain_layout(n, k, h, stride)
         V = rng.normal(size=(3, n, 2 * k + 1))
         p = SparsityPattern(n, k)
@@ -838,6 +906,50 @@ class TestBandGain:
         A = SparseSymMatrix.identity(SparsityPattern(640, 3))
         with pytest.raises(np.linalg.LinAlgError):
             band_gain(A, -2.0, layout, [np.ones(320)])
+
+    @pytest.mark.parametrize("n,stride", [(10240, 2), (10240, 16), (10240, 512),
+                                          # gaps of 491, 2558 and 10238 states
+                                          (10240, 511), (2560, 2559), (10240, 10239)])
+    def test_contractions_do_not_grow_with_the_stride(self, monkeypatch, n, stride):
+        # two einsums per band slot d at most, whatever the stride
+        k, h = 6, 3
+        layout = gain_layout(n, k, h, stride)
+        A = SparseSymMatrix.identity(SparsityPattern(n, k))
+        calls = call_counter(monkeypatch, np, "einsum")
+        band_gain(A, 1.0, layout, [np.ones(layout.m)])
+        assert len(calls) <= 2 * (h + 1)
+
+    @pytest.mark.parametrize("n,stride", [(10240, 512), (10240, 511), (2560, 2559),
+                                          (10240, 10239)])
+    def test_large_stride_allocates_nothing_of_n_times_the_stride(self, n, stride):
+        # local rows of (n, 2k + 1 + stride) would take 42 MB at stride 512,
+        # and a band widened by the gap 1.7 GB at stride 10239
+        k, h = 6, 3
+        layout = gain_layout(n, k, h, stride)
+        rng = np.random.default_rng(stride)
+        V = rng.normal(size=(3, n, 2 * k + 1))
+        p = SparsityPattern(n, k)
+        A = SparseSymMatrix(p, local_outer_sum(V, 0.1, p).band[:, :k + 1])
+        rhs = [rng.normal(size=layout.m)]
+        band_gain(A, 1.0, layout, rhs)  # builds the layout's index
+        tracemalloc.start()
+        try:
+            band_gain(A, 1.0, layout, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # four bands of A on the ring of N < 2n (measured 1.65 to 1.89)
+        assert layout.N < 2 * n and peak < 4 * layout.N * (k + 1) * 8, peak
+
+    def test_seam_index_does_not_grow_with_n(self):
+        # a stride that does not divide n caches O((k + h)^2) seam entries
+        # and an O(stride q) row index, the same at every n with the same gap
+        def cached_bytes(n):
+            layout = gain_layout(n, 6, 3, 3)
+            return sum(a.nbytes for a in (*layout.seam, layout._row_index))
+
+        assert 2560 % 3 == 40960 % 3 == 1
+        assert cached_bytes(2560) == cached_bytes(40960) < 4096
 
     def test_recorded_runs_match_dense_solve(self, recorded_gains):
         # M = A[oi, oi] + r I and C = A[:, oi] of the sparse UKF (whose Pyy and
@@ -966,9 +1078,7 @@ class TestRestrictedProduct:
     @pytest.mark.parametrize("n,h", PATTERNS + [(128, 3), (256, 3), (333, 5), (333, 32)])
     def test_band_only_matches_dense_product(self, n, h):
         # entrywise symmetrization of the dense product, for any A @ B, masked
-        # to the pattern; (128, 3), (256, 3) and (333, 5) reach
-        # GEMM_BAND_RATIO (h+1), where the band is computed without the
-        # dense product
+        # to the pattern
         rng = np.random.default_rng(3 * n + h)
         p = SparsityPattern(n, h)
         A = rng.normal(size=(n, 4))
@@ -978,29 +1088,15 @@ class TestRestrictedProduct:
         expected = np.where(dense_mask(p), 0.5 * (product + product.T), 0.0)
         assert np.abs(got.to_dense() - expected).max() <= 1e-13
 
-    @pytest.mark.parametrize("n,h,uses_gemm", [(40, 3, True), (160, 20, True),
-                                                (640, 3, False), (2560, 3, False)])
-    def test_dense_product_only_below_the_gemm_band_ratio(self, monkeypatch, n, h, uses_gemm):
-        # the desk and quarter-n band shapes take the GEMM; at n = 640 or
-        # 2560 with h = 3 the band is kept, in far less memory than the
-        # n x n product would take
-        calls = []
-        real = SparseSymMatrix.from_dense
-
-        def spy(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(SparseSymMatrix, "from_dense", spy)
-        rng = np.random.default_rng(n)
-        W = rng.normal(size=(16, n))
-        tracemalloc.start()
+    @pytest.mark.parametrize("n,h", [(40, 3), (160, 20), (255, 3)])
+    def test_product_is_one_gemm(self, monkeypatch, n, h):
+        # its one caller is the dense gain, which runs only below the size
+        # rule: the desk, the quarter-n band and the largest small ring
+        assert not uses_structured_path(n, h)
+        calls = call_counter(monkeypatch, SparseSymMatrix, "from_dense")
+        W = np.random.default_rng(n).normal(size=(16, n))
         restricted_product(W.T, W, SparsityPattern(n, h))
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert bool(calls) == uses_gemm
-        if not uses_gemm:
-            assert peak < n * n * 8 / 4  # a quarter of the dense product
+        assert len(calls) == 1
 
     def test_shape_validation(self):
         p = SparsityPattern(4, 1)
